@@ -7,18 +7,13 @@
 
 #include "BenchCommon.h"
 
-#include "ast/Parser.h"
 #include "forkflow/ForkFlow.h"
-#include "lexer/Lexer.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 using namespace vega;
 
@@ -76,137 +71,15 @@ VegaSystem &vega::bench::system() {
   return *Sys;
 }
 
-std::string vega::bench::serializeBackend(const GeneratedBackend &Backend) {
-  std::string Out = "TARGET " + Backend.TargetName + "\n";
-  for (const auto &[Module, Seconds] : Backend.ModuleSeconds)
-    Out += "MODULE " + std::string(moduleName(Module)) + " " +
-           std::to_string(Seconds) + "\n";
-  for (const GeneratedFunction &F : Backend.Functions) {
-    Out += "FUNCTION " + F.InterfaceName + " " + moduleName(F.Module) + " " +
-           (F.Emitted ? "1" : "0") + " " + std::to_string(F.Confidence) +
-           " " + (F.MultiTargetDerived ? "1" : "0") + " " +
-           std::to_string(F.Seconds) + "\n";
-    for (const GeneratedStatement &S : F.Statements)
-      Out += "STMT " + std::to_string(S.RowIndex) + " " +
-             std::to_string(S.Confidence) + " " + (S.Emitted ? "1" : "0") +
-             " " + renderTokens(S.Tokens) + "\n";
-    if (F.Emitted) {
-      std::string Source = F.AST.render();
-      Out += "SOURCE " + std::to_string(splitLines(Source).size()) + "\n";
-      Out += Source;
-    }
-    Out += "END\n";
-  }
-  return Out;
-}
-
-bool vega::bench::deserializeBackend(const std::string &Blob,
-                                     GeneratedBackend &Out) {
-  std::vector<std::string> Lines = splitLines(Blob);
-  size_t I = 0;
-  auto Next = [&]() -> std::string {
-    return I < Lines.size() ? Lines[I++] : std::string();
-  };
-  std::string Header = Next();
-  if (Header.rfind("TARGET ", 0) != 0)
-    return false;
-  Out.TargetName = Header.substr(7);
-
-  auto ModuleByName = [](const std::string &Name) {
-    for (BackendModule M : AllModules)
-      if (Name == moduleName(M))
-        return M;
-    return BackendModule::SEL;
-  };
-
-  while (I < Lines.size()) {
-    std::string Line = Next();
-    if (Line.rfind("MODULE ", 0) == 0) {
-      std::istringstream In(Line.substr(7));
-      std::string Mod;
-      double Seconds = 0.0;
-      In >> Mod >> Seconds;
-      Out.ModuleSeconds[ModuleByName(Mod)] = Seconds;
-      continue;
-    }
-    if (Line.rfind("FUNCTION ", 0) != 0)
-      continue;
-    std::istringstream In(Line.substr(9));
-    GeneratedFunction F;
-    std::string Mod;
-    int Emitted = 0, Multi = 0;
-    In >> F.InterfaceName >> Mod >> Emitted >> F.Confidence >> Multi >>
-        F.Seconds;
-    F.Module = ModuleByName(Mod);
-    F.Emitted = Emitted != 0;
-    F.MultiTargetDerived = Multi != 0;
-
-    while (I < Lines.size()) {
-      std::string Inner = Lines[I];
-      if (Inner.rfind("STMT ", 0) == 0) {
-        ++I;
-        std::istringstream SIn(Inner.substr(5));
-        GeneratedStatement S;
-        int SEmitted = 0;
-        SIn >> S.RowIndex >> S.Confidence >> SEmitted;
-        S.Emitted = SEmitted != 0;
-        std::string Rest;
-        std::getline(SIn, Rest);
-        S.Tokens = Lexer::tokenize(trimString(Rest));
-        F.Statements.push_back(std::move(S));
-        continue;
-      }
-      if (Inner.rfind("SOURCE ", 0) == 0) {
-        ++I;
-        size_t N = static_cast<size_t>(std::atol(Inner.substr(7).c_str()));
-        std::string Source;
-        for (size_t L = 0; L < N && I < Lines.size(); ++L)
-          Source += Lines[I++] + "\n";
-        Expected<FunctionAST> AST = parseFunction(Source);
-        if (AST)
-          F.AST = std::move(*AST);
-        else
-          F.Emitted = false;
-        continue;
-      }
-      if (Inner == "END") {
-        ++I;
-        break;
-      }
-      ++I;
-    }
-    Out.Functions.push_back(std::move(F));
-  }
-  return !Out.Functions.empty();
-}
-
 const GeneratedBackend &vega::bench::generated(const std::string &Target) {
   initObservability();
   static std::map<std::string, GeneratedBackend> Cache;
   auto It = Cache.find(Target);
   if (It != Cache.end())
     return It->second;
-
-  std::string Path = "vega_backend_" + Target + ".txt";
-  {
-    std::ifstream In(Path);
-    if (In) {
-      std::stringstream Buffer;
-      Buffer << In.rdbuf();
-      GeneratedBackend GB;
-      if (deserializeBackend(Buffer.str(), GB) && GB.TargetName == Target) {
-        std::fprintf(stderr, "bench: loaded cached backend for %s\n",
-                     Target.c_str());
-        return Cache.emplace(Target, std::move(GB)).first->second;
-      }
-    }
-  }
   std::fprintf(stderr, "bench: stage 3 (generating %s backend)...\n",
                Target.c_str());
-  GeneratedBackend GB = system().generateBackend(Target);
-  std::ofstream OutFile(Path);
-  OutFile << serializeBackend(GB);
-  return Cache.emplace(Target, std::move(GB)).first->second;
+  return Cache.emplace(Target, system().generateBackend(Target)).first->second;
 }
 
 const BackendEval &vega::bench::evaluation(const std::string &Target) {

@@ -11,9 +11,10 @@
 /// numbers, not paper results.
 ///
 /// `microbench --inference-report=<file>.json` additionally measures the
-/// inference stack end to end (GEMM GFLOP/s, decode tokens/sec with and
-/// without the KV cache, generateBackend wall time at --jobs=1/4 against
-/// the serial full-recompute baseline) and writes the numbers as JSON.
+/// inference stack end to end (GEMM GFLOP/s, decode tokens/sec with the KV
+/// cache and with full recomputation, generateBackend wall time at
+/// --jobs=1/4 against the serial full-recompute baseline) and writes the
+/// numbers as JSON.
 ///
 /// `microbench --training-report=<file>.json` measures fine-tuning
 /// throughput (Trainer examples/sec at --train-jobs=1/4 on a synthetic
@@ -197,30 +198,6 @@ void BM_GemmNTFp32(benchmark::State &State) {
 }
 BENCHMARK(BM_GemmNTFp32);
 
-/// The int8 logits route as logitsFor runs it: B (the combined embedding
-/// table) is quantized once and cached, A (the decoder rows) is quantized
-/// per call, so the measured cost includes the per-step quantization.
-void BM_GemmNTInt8(benchmark::State &State) {
-  std::vector<float> A = randomMatrix(GemmM * GemmK, 1);
-  std::vector<float> B = randomMatrix(GemmN * GemmK, 2);
-  std::vector<int8_t> QB(GemmN * GemmK);
-  std::vector<float> SB(GemmN);
-  detail::quantizeRowsQ8(B.data(), GemmN, GemmK, QB.data(), SB.data());
-  std::vector<int8_t> QA(GemmM * GemmK);
-  std::vector<float> SA(GemmM);
-  std::vector<float> C(GemmM * GemmN, 0.0f);
-  for (auto _ : State) {
-    detail::quantizeRowsQ8(A.data(), GemmM, GemmK, QA.data(), SA.data());
-    detail::gemmNTQ8(QA.data(), SA.data(), QB.data(), SB.data(), C.data(),
-                     GemmM, GemmK, GemmN);
-    benchmark::DoNotOptimize(C.data());
-  }
-  State.counters["GFLOPS"] = benchmark::Counter(
-      2.0 * GemmM * GemmK * GemmN * 1e-9,
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_GemmNTInt8);
-
 /// A synthetic decode workload: an untrained (but deterministically seeded)
 /// CodeBE plus a 40-step decode plan that pins one admissible token per
 /// position, so every generate() emits exactly 40 tokens regardless of the
@@ -266,55 +243,11 @@ BENCHMARK(BM_DecodeFullRecompute);
 void BM_DecodeKVCache(benchmark::State &State) {
   DecodeFixture &F = DecodeFixture::instance();
   F.Model->setDecodeMode(CodeBE::DecodeMode::KVCache);
-  // Pre-PR baseline: prefix sharing off, so every pinned step still pays
-  // the full vocab-wide logits GEMM.
-  F.Model->setPrefixSharing(false);
   for (auto _ : State)
     benchmark::DoNotOptimize(F.Model->generate(F.Src, nullptr, &F.Plan));
-  F.Model->setPrefixSharing(true);
   State.SetItemsProcessed(State.iterations() * F.Tokens);
 }
 BENCHMARK(BM_DecodeKVCache);
-
-void BM_DecodeKVCacheInt8(benchmark::State &State) {
-  DecodeFixture &F = DecodeFixture::instance();
-  F.Model->setDecodeMode(CodeBE::DecodeMode::KVCache);
-  F.Model->setPrefixSharing(false);
-  F.Model->setPrecision(Precision::INT8);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(F.Model->generate(F.Src, nullptr, &F.Plan));
-  F.Model->setPrecision(Precision::FP32);
-  F.Model->setPrefixSharing(true);
-  State.SetItemsProcessed(State.iterations() * F.Tokens);
-}
-BENCHMARK(BM_DecodeKVCacheInt8);
-
-/// With prefix sharing on, every pinned plan step (this fixture pins one
-/// admissible token per position) skips the vocab-wide logits GEMM.
-void BM_DecodePrefixShared(benchmark::State &State) {
-  DecodeFixture &F = DecodeFixture::instance();
-  F.Model->setDecodeMode(CodeBE::DecodeMode::KVCache);
-  F.Model->setPrefixSharing(true);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(F.Model->generate(F.Src, nullptr, &F.Plan));
-  State.SetItemsProcessed(State.iterations() * F.Tokens);
-}
-BENCHMARK(BM_DecodePrefixShared);
-
-/// Group decode of identical candidate sites: the shared KV prefix is
-/// computed once and forked copy-on-write per member.
-void BM_DecodeGroupShared(benchmark::State &State) {
-  DecodeFixture &F = DecodeFixture::instance();
-  F.Model->setDecodeMode(CodeBE::DecodeMode::KVCache);
-  F.Model->setPrefixSharing(true);
-  constexpr int Group = 6;
-  std::vector<CodeBE::GroupRequest> Reqs(
-      Group, CodeBE::GroupRequest{&F.Src, nullptr, &F.Plan});
-  for (auto _ : State)
-    benchmark::DoNotOptimize(F.Model->generateGroup(Reqs));
-  State.SetItemsProcessed(State.iterations() * F.Tokens * Group);
-}
-BENCHMARK(BM_DecodeGroupShared);
 
 // ---- Training throughput ------------------------------------------------
 
@@ -403,15 +336,10 @@ template <typename Fn> double measureGflops(double FlopsPerCall, Fn Run) {
   }
 }
 
-/// Decode throughput (tokens/sec) of the fixture in \p Mode at \p Prec
-/// with prefix sharing on or off.
-double measureDecodeTokensPerSec(CodeBE::DecodeMode Mode,
-                                 Precision Prec = Precision::FP32,
-                                 bool Share = false) {
+/// Decode throughput (tokens/sec) of the fixture in \p Mode.
+double measureDecodeTokensPerSec(CodeBE::DecodeMode Mode) {
   DecodeFixture &F = DecodeFixture::instance();
   F.Model->setDecodeMode(Mode);
-  F.Model->setPrecision(Prec);
-  F.Model->setPrefixSharing(Share);
   F.Model->generate(F.Src, nullptr, &F.Plan); // warm-up
   int Reps = 1;
   double Result = 0.0;
@@ -427,36 +355,6 @@ double measureDecodeTokensPerSec(CodeBE::DecodeMode Mode,
     Reps *= 2;
   }
   F.Model->setDecodeMode(CodeBE::DecodeMode::KVCache);
-  F.Model->setPrecision(Precision::FP32);
-  F.Model->setPrefixSharing(true);
-  return Result;
-}
-
-/// Group-decode throughput (tokens/sec across all members) of \p Group
-/// identical requests, shared (one KV prefix, CoW forks) or cold (per
-/// member from scratch).
-double measureGroupDecodeTokensPerSec(int Group, bool Share) {
-  DecodeFixture &F = DecodeFixture::instance();
-  F.Model->setDecodeMode(CodeBE::DecodeMode::KVCache);
-  F.Model->setPrefixSharing(Share);
-  std::vector<CodeBE::GroupRequest> Reqs(
-      static_cast<size_t>(Group),
-      CodeBE::GroupRequest{&F.Src, nullptr, &F.Plan});
-  F.Model->generateGroup(Reqs); // warm-up
-  int Reps = 1;
-  double Result = 0.0;
-  for (;;) {
-    auto T0 = std::chrono::steady_clock::now();
-    for (int I = 0; I < Reps; ++I)
-      benchmark::DoNotOptimize(F.Model->generateGroup(Reqs));
-    double S = secondsSince(T0);
-    if (S >= 2.0) {
-      Result = static_cast<double>(F.Tokens) * Group * Reps / S;
-      break;
-    }
-    Reps *= 2;
-  }
-  F.Model->setPrefixSharing(true);
   return Result;
 }
 
@@ -485,36 +383,9 @@ int writeInferenceReport(const std::string &Path) {
     benchmark::DoNotOptimize(C.data());
   });
 
-  // The quantized route benchmarks against the fp32 NT kernel on the same
-  // shape (the logits GEMM is an NT product); B is pre-quantized like the
-  // QComb cache, A is quantized inside the measured region like logitsFor.
-  std::vector<float> BT = randomMatrix(GemmN * GemmK, 2);
-  double NTFp32Gflops = measureGflops(Flops, [&] {
-    detail::gemmNT(A.data(), BT.data(), C.data(), GemmM, GemmK, GemmN);
-    benchmark::DoNotOptimize(C.data());
-  });
-  std::vector<int8_t> QB(GemmN * GemmK);
-  std::vector<float> SB(GemmN);
-  detail::quantizeRowsQ8(BT.data(), GemmN, GemmK, QB.data(), SB.data());
-  std::vector<int8_t> QA(GemmM * GemmK);
-  std::vector<float> SA(GemmM);
-  double NTInt8Gflops = measureGflops(Flops, [&] {
-    detail::quantizeRowsQ8(A.data(), GemmM, GemmK, QA.data(), SA.data());
-    detail::gemmNTQ8(QA.data(), SA.data(), QB.data(), SB.data(), C.data(),
-                     GemmM, GemmK, GemmN);
-    benchmark::DoNotOptimize(C.data());
-  });
-
   std::fprintf(stderr, "measuring decode throughput...\n");
   double FullTps = measureDecodeTokensPerSec(CodeBE::DecodeMode::FullRecompute);
   double KVTps = measureDecodeTokensPerSec(CodeBE::DecodeMode::KVCache);
-  double Int8Tps = measureDecodeTokensPerSec(CodeBE::DecodeMode::KVCache,
-                                             Precision::INT8, false);
-  double PrefixTps = measureDecodeTokensPerSec(CodeBE::DecodeMode::KVCache,
-                                               Precision::FP32, true);
-  constexpr int GroupSize = 6;
-  double GroupColdTps = measureGroupDecodeTokensPerSec(GroupSize, false);
-  double GroupSharedTps = measureGroupDecodeTokensPerSec(GroupSize, true);
 
   std::fprintf(stderr, "measuring end-to-end generateBackend...\n");
   VegaSystem &Sys = bench::system();
@@ -538,50 +409,25 @@ int writeInferenceReport(const std::string &Path) {
       Jobs4Sec = J4;
   }
 
-  char Buf[4096];
+  char Buf[2048];
   std::snprintf(
       Buf, sizeof(Buf),
       "{\n"
-      "  \"schema\": \"vega-inference-bench-2\",\n"
+      "  \"schema\": \"vega-inference-bench-3\",\n"
       "  \"gemm\": {\n"
       "    \"m\": %d, \"k\": %d, \"n\": %d,\n"
       "    \"naive_gflops\": %.4f,\n"
       "    \"blocked_gflops\": %.4f,\n"
-      "    \"speedup\": %.3f,\n"
-      "    \"int8\": {\n"
-      "      \"precision\": \"int8\",\n"
-      "      \"nt_fp32_gflops\": %.4f,\n"
-      "      \"nt_int8_gflops\": %.4f,\n"
-      "      \"speedup_vs_fp32_nt\": %.3f\n"
-      "    }\n"
+      "    \"speedup\": %.3f\n"
       "  },\n"
       "  \"decode\": {\n"
       "    \"tokens\": %d,\n"
-      "    \"precision\": \"fp32\",\n"
-      "    \"prefix_shared\": false,\n"
       "    \"full_recompute_tokens_per_sec\": %.2f,\n"
       "    \"kv_cache_tokens_per_sec\": %.2f,\n"
-      "    \"speedup\": %.3f,\n"
-      "    \"int8\": {\n"
-      "      \"precision\": \"int8\",\n"
-      "      \"prefix_shared\": false,\n"
-      "      \"tokens_per_sec\": %.2f,\n"
-      "      \"speedup_vs_kv_fp32\": %.3f\n"
-      "    },\n"
-      "    \"prefix\": {\n"
-      "      \"precision\": \"fp32\",\n"
-      "      \"prefix_shared\": true,\n"
-      "      \"tokens_per_sec\": %.2f,\n"
-      "      \"speedup_vs_kv_fp32\": %.3f,\n"
-      "      \"group_size\": %d,\n"
-      "      \"group_cold_tokens_per_sec\": %.2f,\n"
-      "      \"group_shared_tokens_per_sec\": %.2f,\n"
-      "      \"group_speedup\": %.3f\n"
-      "    }\n"
+      "    \"speedup\": %.3f\n"
       "  },\n"
       "  \"generate_backend\": {\n"
       "    \"target\": \"RISCV\",\n"
-      "    \"precision\": \"fp32\",\n"
       "    \"baseline_serial_full_recompute_sec\": %.4f,\n"
       "    \"jobs1_sec\": %.4f,\n"
       "    \"jobs4_sec\": %.4f,\n"
@@ -590,11 +436,8 @@ int writeInferenceReport(const std::string &Path) {
       "  }\n"
       "}\n",
       GemmM, GemmK, GemmN, NaiveGflops, BlockedGflops,
-      BlockedGflops / NaiveGflops, NTFp32Gflops, NTInt8Gflops,
-      NTInt8Gflops / NTFp32Gflops, DecodeFixture::instance().Tokens, FullTps,
-      KVTps, KVTps / FullTps, Int8Tps, Int8Tps / KVTps, PrefixTps,
-      PrefixTps / KVTps, GroupSize, GroupColdTps, GroupSharedTps,
-      GroupSharedTps / GroupColdTps, BaselineSec, Jobs1Sec, Jobs4Sec,
+      BlockedGflops / NaiveGflops, DecodeFixture::instance().Tokens, FullTps,
+      KVTps, KVTps / FullTps, BaselineSec, Jobs1Sec, Jobs4Sec,
       BaselineSec / Jobs1Sec, BaselineSec / Jobs4Sec);
 
   std::ofstream Out(Path);

@@ -682,8 +682,6 @@ TrainPair VegaSystem::toIds(const TextPair &Pair) const {
 VegaSystem::WeightCacheStatus
 VegaSystem::initModelFromCache(std::string *Detail) {
   Model = std::make_unique<CodeBE>(Vocabulary, Options.Model);
-  Model->setPrecision(Options.InferencePrecision);
-  Model->setPrefixSharing(Options.PrefixSharing);
   std::string CachePath = Options.resolvedWeightCachePath();
   if (CachePath.empty())
     return WeightCacheStatus::Disabled;
@@ -1000,49 +998,6 @@ GeneratedStatement VegaSystem::generateRow(
   return Result;
 }
 
-std::vector<GeneratedStatement> VegaSystem::generateRowGroup(
-    const TemplateInfo &TI, const TemplateRow &Row, const std::string &Target,
-    const std::vector<std::string> &Candidates, const std::string &CtxValue) {
-  obs::Span GroupSpan("gen.row_group", "stage3");
-  GroupSpan.arg("row", std::to_string(Row.Index));
-  GroupSpan.arg("candidates", std::to_string(Candidates.size()));
-
-  struct Site {
-    std::vector<int> SrcIds;
-    std::vector<uint8_t> Allowed;
-    CodeBE::DecodePlan Plan;
-  };
-  std::vector<Site> Sites(Candidates.size());
-  std::vector<CodeBE::GroupRequest> Reqs(Candidates.size());
-  for (size_t I = 0; I < Candidates.size(); ++I) {
-    buildRowDecode(TI, Row, Target, Candidates[I], CtxValue, Sites[I].SrcIds,
-                   Sites[I].Allowed, Sites[I].Plan);
-    Reqs[I] = {&Sites[I].SrcIds, &Sites[I].Allowed, &Sites[I].Plan};
-  }
-  // CodeBE shares the encoder pass and the common plan-prefix KV rows when
-  // the group's inputs coincide, and decodes per request when they don't —
-  // byte-identical either way (and to per-candidate generateRow calls).
-  std::vector<CodeBE::Decoded> Outs =
-      Model->generateGroup(Reqs, /*WithProbs=*/false);
-
-  std::vector<GeneratedStatement> Results(Candidates.size());
-  auto &Metrics = obs::MetricsRegistry::instance();
-  for (size_t I = 0; I < Candidates.size(); ++I) {
-    GeneratedStatement &Result = Results[I];
-    Result.RowIndex = Row.Index;
-    Result.CandidateValue = Candidates[I];
-    Result.CtxValue = CtxValue;
-    if (Outs[I].Tokens.empty())
-      continue;
-    finishStatement(Result, Outs[I].Tokens);
-    Metrics.observe("gen.confidence", Result.Confidence);
-    Metrics.addCounter("gen.statements");
-    if (Result.Emitted)
-      Metrics.addCounter("gen.statements_emitted");
-  }
-  return Results;
-}
-
 std::vector<GeneratedStatement>
 VegaSystem::beamCandidatesForSite(const TemplateInfo &TI,
                                   const DecodeSite &Site,
@@ -1081,18 +1036,6 @@ VegaSystem::beamCandidatesForSite(const TemplateInfo &TI,
 void VegaSystem::setJobs(int Jobs) {
   Options.Jobs = Jobs;
   Pool.reset();
-}
-
-void VegaSystem::setPrecision(Precision P) {
-  Options.InferencePrecision = P;
-  if (Model)
-    Model->setPrecision(P);
-}
-
-void VegaSystem::setPrefixSharing(bool On) {
-  Options.PrefixSharing = On;
-  if (Model)
-    Model->setPrefixSharing(On);
 }
 
 GeneratedFunction VegaSystem::generateFunction(const TemplateInfo &TI,
@@ -1178,17 +1121,8 @@ GeneratedFunction VegaSystem::assembleFunction(const TemplateInfo &TI,
                 Options.MaxCandidatesPerRow)
               Candidates.resize(
                   static_cast<size_t>(Options.MaxCandidatesPerRow));
-            // Plain generation decodes all expansions of the row as one
-            // group (shared encoder/prefix work when inputs coincide); the
-            // repair path keeps per-site decodes so the chooser is
-            // consulted at every site.
-            std::vector<GeneratedStatement> Pre;
-            if (!Choose && Candidates.size() > 1)
-              Pre = generateRowGroup(TI, Row, TargetName, Candidates, Ctx);
-            for (size_t CI = 0; CI < Candidates.size(); ++CI) {
-              const std::string &Candidate = Candidates[CI];
-              GeneratedStatement Stmt =
-                  Pre.empty() ? DecodeSiteStmt(Row, Candidate, Ctx) : Pre[CI];
+            for (const std::string &Candidate : Candidates) {
+              GeneratedStatement Stmt = DecodeSiteStmt(Row, Candidate, Ctx);
               Fn.Statements.push_back(Stmt);
               if (!Stmt.Emitted)
                 continue;

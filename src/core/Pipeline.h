@@ -70,19 +70,6 @@ struct VegaOptions {
   /// are bit-identical for every job count — like Jobs, this is a runtime
   /// knob excluded from fingerprint().
   int TrainJobs = 0;
-  /// Inference precision of the Stage-3 vocabulary projection
-  /// (vega-cli/vega-serve --precision={fp32,int8}). Training always runs
-  /// fp32 and checkpoints always store fp32 weights, so this is a runtime
-  /// knob excluded from fingerprint() — SessionTest proves the saved .vega
-  /// artifact is byte-identical under either setting. Output under a given
-  /// precision is byte-deterministic at any Jobs count; int8 output is NOT
-  /// byte-equal to fp32 output (DESIGN.md §14).
-  Precision InferencePrecision = Precision::FP32;
-  /// Decode fast paths that reuse work across plan positions and group
-  /// members (pinned-step logit skip, group-level KV prefix sharing).
-  /// On/off is byte-identical by construction; off is the reference path
-  /// for the CI equivalence smoke.
-  bool PrefixSharing = true;
 
   /// The weight-cache path the system will actually touch: absolute paths
   /// are used verbatim; relative paths resolve under $VEGA_CACHE_DIR when
@@ -94,9 +81,9 @@ struct VegaOptions {
   /// Stable hash of every option that shapes the trained session state
   /// (model architecture + training schedule + dataset split + feature
   /// ablations + candidate caps). Runtime knobs that cannot invalidate a
-  /// trained artifact — Jobs, Verbose, WeightCachePath, ConfidenceThreshold,
-  /// InferencePrecision, PrefixSharing — are deliberately excluded. Session
-  /// checkpoints store this and refuse to load under mismatched options.
+  /// trained artifact — Jobs, TrainJobs, Verbose, WeightCachePath,
+  /// ConfidenceThreshold — are deliberately excluded. Session checkpoints
+  /// store this and refuse to load under mismatched options.
   uint64_t fingerprint() const;
 };
 
@@ -320,15 +307,6 @@ public:
   /// the worker pool is rebuilt on the next generateBackend().
   void setJobs(int Jobs);
 
-  /// Overrides the inference precision after construction (vega-serve
-  /// --precision, tests). Applies to the live model immediately; weights
-  /// are untouched. Not safe against in-flight generate calls.
-  void setPrecision(Precision P);
-
-  /// Toggles the prefix-sharing decode fast paths after construction
-  /// (byte-identical either way; off is the CI reference path).
-  void setPrefixSharing(bool On);
-
   /// Per-site statement chooser for assembleFunction(): returns the
   /// statement to splice in at \p Site (its Emitted flag is respected
   /// verbatim — the repair engine force-emits oracle-gated candidates), or
@@ -432,15 +410,6 @@ private:
                                  const std::string &Target,
                                  const std::optional<std::string> &Assigned,
                                  const std::string &CtxValue);
-  /// Decodes every candidate expansion of one repeatable row in a single
-  /// CodeBE::generateGroup call, so candidates whose feature vectors
-  /// coincide share the encoder pass and the common plan-prefix KV rows.
-  /// Byte-identical to calling generateRow() per candidate.
-  std::vector<GeneratedStatement>
-  generateRowGroup(const TemplateInfo &TI, const TemplateRow &Row,
-                   const std::string &Target,
-                   const std::vector<std::string> &Candidates,
-                   const std::string &CtxValue);
   /// Generates one function (the per-worker unit of Stage-3 parallelism).
   /// Touches only read-only system state and thread-safe singletons.
   GeneratedFunction generateFunction(const TemplateInfo &TI,

@@ -94,19 +94,6 @@ public:
   /// Overrides the Stage-3 lane count (0 = auto).
   void setJobs(int Jobs) { System->setJobs(Jobs); }
 
-  /// Selects the inference precision (runtime knob — .vega artifacts always
-  /// store fp32 weights and are byte-identical under either setting, so a
-  /// loaded session can switch freely).
-  void setPrecision(Precision P) { System->setPrecision(P); }
-  Precision precision() const {
-    return System->options().InferencePrecision;
-  }
-
-  /// Toggles the prefix-sharing decode fast paths (byte-identical output
-  /// either way).
-  void setPrefixSharing(bool On) { System->setPrefixSharing(On); }
-  bool prefixSharing() const { return System->options().PrefixSharing; }
-
   const BackendCorpus &corpus() const { return Corpus; }
   VegaSystem &system() { return *System; }
   const VegaSystem &system() const { return *System; }

@@ -199,12 +199,6 @@ bool sameSkeleton(const std::vector<Token> &A, const std::vector<Token> &B) {
 
 BackendEval vega::evaluateBackend(const GeneratedBackend &Generated,
                                   const Backend &Golden,
-                                  const TargetTraits &Traits) {
-  return evaluateBackend(Generated, Golden, Traits, eval::textOracle());
-}
-
-BackendEval vega::evaluateBackend(const GeneratedBackend &Generated,
-                                  const Backend &Golden,
                                   const TargetTraits &Traits,
                                   const eval::Oracle &Primary,
                                   const eval::Oracle *Differential) {

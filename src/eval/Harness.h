@@ -112,21 +112,15 @@ struct BackendEval {
   OracleAgreement agreement() const;
 };
 
-/// Evaluates \p Generated against \p Golden for \p Traits with the default
-/// text oracle — a thin back-compat wrapper over the pluggable overload
-/// below (byte-identical to the pre-oracle-API behaviour).
-BackendEval evaluateBackend(const GeneratedBackend &Generated,
-                            const Backend &Golden,
-                            const TargetTraits &Traits);
-
-/// Evaluates with an explicit oracle. \p Primary decides Accurate (and the
-/// error taxonomy); when \p Differential is non-null it additionally scores
-/// every emitted function, filling the Div-Val/Div-Trap/Div-Eff census,
-/// the Txt-Only flag, and the agreement report. Pass the same object as
-/// both to gate *and* classify with one differential run.
+/// Evaluates \p Generated against \p Golden for \p Traits. \p Primary (the
+/// text oracle by default) decides Accurate (and the error taxonomy); when
+/// \p Differential is non-null it additionally scores every emitted
+/// function, filling the Div-Val/Div-Trap/Div-Eff census, the Txt-Only
+/// flag, and the agreement report. Pass the same object as both to gate
+/// *and* classify with one differential run.
 BackendEval evaluateBackend(const GeneratedBackend &Generated,
                             const Backend &Golden, const TargetTraits &Traits,
-                            const eval::Oracle &Primary,
+                            const eval::Oracle &Primary = eval::textOracle(),
                             const eval::Oracle *Differential = nullptr);
 
 /// pass@1 for a single function AST (used by ForkFlow too): behavioural

@@ -289,82 +289,6 @@ void vega::detail::gemmTNAccum(const float *A, const float *G, float *C,
   }
 }
 
-void vega::detail::quantizeRowsQ8(const float *A, int Rows, int K, int8_t *Q,
-                                  float *Scale) {
-  for (int I = 0; I < Rows; ++I) {
-    const float *Row = A + static_cast<size_t>(I) * K;
-    int8_t *QRow = Q + static_cast<size_t>(I) * K;
-    float AbsMax = 0.0f;
-    for (int P = 0; P < K; ++P) {
-      float V = Row[P] < 0.0f ? -Row[P] : Row[P];
-      if (V > AbsMax)
-        AbsMax = V;
-    }
-    if (AbsMax == 0.0f) {
-      Scale[I] = 0.0f;
-      for (int P = 0; P < K; ++P)
-        QRow[P] = 0;
-      continue;
-    }
-    float S = AbsMax / 127.0f;
-    Scale[I] = S;
-    float Inv = 127.0f / AbsMax;
-    for (int P = 0; P < K; ++P) {
-      // Round-to-nearest, ties away from zero: deterministic and
-      // platform-independent (no dependence on the FP rounding mode).
-      float V = Row[P] * Inv;
-      int Code = static_cast<int>(V >= 0.0f ? V + 0.5f : V - 0.5f);
-      if (Code > 127)
-        Code = 127;
-      if (Code < -127)
-        Code = -127;
-      QRow[P] = static_cast<int8_t>(Code);
-    }
-  }
-}
-
-// The int8 dot products below are exact integer math, so aggressive
-// vectorization cannot change results — scope -O3 to just this kernel
-// (int16×int16→int32 widening dots map onto pmaddwd-style SIMD). The fp32
-// kernels keep the translation unit's flags: their codegen, and therefore
-// the fp32 bit-determinism contract, is untouched.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC push_options
-#pragma GCC optimize("O3")
-#endif
-void vega::detail::gemmNTQ8(const int8_t *QA, const float *ScaleA,
-                            const int8_t *QB, const float *ScaleB, float *C,
-                            int M, int K, int N) {
-  // Widening each A row to int16 once lets the inner loop run int16×int16
-  // multiplies (|code| ≤ 127, so every product fits int16 and the int32
-  // accumulator is exact for any practical K).
-  constexpr int MaxStackK = 1024;
-  int16_t Stack[MaxStackK];
-  std::vector<int16_t> Heap;
-  int16_t *AW = Stack;
-  if (K > MaxStackK) {
-    Heap.resize(static_cast<size_t>(K));
-    AW = Heap.data();
-  }
-  for (int I = 0; I < M; ++I) {
-    const int8_t *ARow = QA + static_cast<size_t>(I) * K;
-    for (int P = 0; P < K; ++P)
-      AW[P] = ARow[P];
-    float *CRow = C + static_cast<size_t>(I) * N;
-    const float SA = ScaleA[I];
-    for (int J = 0; J < N; ++J) {
-      const int8_t *BRow = QB + static_cast<size_t>(J) * K;
-      int32_t Acc = 0;
-      for (int P = 0; P < K; ++P)
-        Acc += AW[P] * static_cast<int16_t>(BRow[P]);
-      CRow[J] = static_cast<float>(Acc) * SA * ScaleB[J];
-    }
-  }
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC pop_options
-#endif
-
 TensorPtr vega::matmul(const TensorPtr &A, const TensorPtr &B) {
   assert(A->Cols == B->Rows && "matmul shape mismatch");
   TensorPtr Out = makeResult(A->Rows, B->Cols, {A, B});

@@ -239,29 +239,6 @@ void gemmNTAccum(const float *A, const float *B, float *C, int M, int K,
 void gemmTNAccum(const float *A, const float *G, float *C, int M, int K,
                  int N);
 
-// ---- Quantized (int8) inference route ----
-//
-// Symmetric per-row int8 quantization with int32 accumulation and fp32
-// dequantization. The integer dot products are exact (no rounding inside
-// the accumulation chain), so a quantized GEMM is bit-deterministic at any
-// thread count by construction — the only float operations are one
-// round-to-nearest per input element at quantization time and one
-// two-factor scale multiply per output element, both fixed-order.
-
-/// Quantizes \p Rows rows of K floats each: Q[i][k] =
-/// round(A[i][k] / Scale[i]) with Scale[i] = max|A[i][·]| / 127 (an
-/// all-zero row gets Scale 0 and all-zero codes). Round-to-nearest,
-/// ties away from zero.
-void quantizeRowsQ8(const float *A, int Rows, int K, int8_t *Q,
-                    float *Scale);
-
-/// C = dequant(QA · QBᵀ): C[i][j] = (Σ_k QA[i][k]·QB[j][k]) · ScaleA[i] ·
-/// ScaleB[j]. QA is M×K int8 with per-row scales; QB is N×K int8 with
-/// per-row scales (the per-column scales of the logical Bᵀ). The int32
-/// accumulator is exact for K ≤ 2^16 at int8 range.
-void gemmNTQ8(const int8_t *QA, const float *ScaleA, const int8_t *QB,
-              const float *ScaleB, float *C, int M, int K, int N);
-
 } // namespace detail
 
 /// Adam optimizer over a fixed parameter list.

@@ -7,7 +7,6 @@
 
 #include "model/CodeBE.h"
 
-#include "model/Trainer.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/RNG.h"
@@ -35,24 +34,6 @@ uint64_t CodeBEConfig::fingerprint() const {
   Mix(static_cast<uint64_t>(MaxDstLen));
   Mix(Seed);
   return H;
-}
-
-const char *vega::precisionName(Precision P) {
-  switch (P) {
-  case Precision::FP32:
-    return "fp32";
-  case Precision::INT8:
-    return "int8";
-  }
-  return "fp32";
-}
-
-std::optional<Precision> vega::parsePrecision(std::string_view Name) {
-  if (Name == "fp32")
-    return Precision::FP32;
-  if (Name == "int8")
-    return Precision::INT8;
-  return std::nullopt;
 }
 
 CodeBE::CodeBE(Vocab Vocabulary, CodeBEConfig Config)
@@ -253,33 +234,9 @@ void CodeBE::refreshCombCache() {
   CombDirty.store(false, std::memory_order_release);
 }
 
-void CodeBE::refreshQCombCache() {
-  std::lock_guard<std::mutex> Lock(CombMu);
-  if (!QCombDirty.load(std::memory_order_acquire))
-    return; // another thread already rebuilt it
-  // Quantize from freshly built fp32 combined embeddings (the same values
-  // refreshCombCache snapshots), so the int8 route never depends on the
-  // fp32 cache having been refreshed first.
-  TensorPtr Comb = combinedEmbeddings();
-  QCombData.assign(Comb->Data.size(), 0);
-  QCombScale.assign(static_cast<size_t>(Comb->Rows), 0.0f);
-  detail::quantizeRowsQ8(Comb->Data.data(), Comb->Rows, Comb->Cols,
-                         QCombData.data(), QCombScale.data());
-  QCombDirty.store(false, std::memory_order_release);
-}
-
-void CodeBE::setPrecision(Precision P) {
-  if (Prec == P)
-    return;
-  Prec = P;
-  QCombDirty.store(true, std::memory_order_release);
-}
-
 void CodeBE::prepareGenerate() {
   if (CombDirty.load(std::memory_order_acquire))
     refreshCombCache();
-  if (Prec == Precision::INT8 && QCombDirty.load(std::memory_order_acquire))
-    refreshQCombCache();
 }
 
 TensorPtr CodeBE::presenceFor(int Rows, const std::vector<int> &SrcIds) {
@@ -305,41 +262,19 @@ TensorPtr CodeBE::logitsFor(const TensorPtr &DecOut, const TensorPtr &Memory,
                             const std::vector<int> &SrcIds, bool UseCombCache,
                             const TensorPtr &CachedPresence,
                             const TensorPtr &CombOverride) {
-  TensorPtr Base;
-  const bool UseQ8 = Prec == Precision::INT8 && !CombOverride &&
-                     NoGradGuard::active();
-  if (UseQ8) {
-    // Quantized route: the vocabulary-wide projection — the dominant GEMM
-    // of every decode step — runs as int8·int8→int32 against the cached
-    // quantized embedding matrix. Integer accumulation is exact, so this
-    // is bit-deterministic at any thread count; it is NOT bit-equal to
-    // the fp32 route (DESIGN.md §14). The copy head and presence tail
-    // below stay fp32.
-    if (QCombDirty.load(std::memory_order_acquire))
-      refreshQCombCache();
-    const int M = DecOut->Rows, K = DecOut->Cols;
-    const int V = static_cast<int>(QCombScale.size());
-    std::vector<int8_t> QA(static_cast<size_t>(M) * K);
-    std::vector<float> SA(static_cast<size_t>(M));
-    detail::quantizeRowsQ8(DecOut->Data.data(), M, K, QA.data(), SA.data());
-    Base = makeTensor(M, V);
-    detail::gemmNTQ8(QA.data(), SA.data(), QCombData.data(),
-                     QCombScale.data(), Base->Data.data(), M, K, V);
+  TensorPtr Comb;
+  if (CombOverride) {
+    // Training batches share one combined-embeddings node across all
+    // example tapes (the Trainer builds it once per batch).
+    Comb = CombOverride;
+  } else if (UseCombCache) {
+    if (CombDirty.load(std::memory_order_acquire))
+      refreshCombCache();
+    Comb = CombCache;
   } else {
-    TensorPtr Comb;
-    if (CombOverride) {
-      // Training batches share one combined-embeddings node across all
-      // example tapes (the Trainer builds it once per batch).
-      Comb = CombOverride;
-    } else if (UseCombCache) {
-      if (CombDirty.load(std::memory_order_acquire))
-        refreshCombCache();
-      Comb = CombCache;
-    } else {
-      Comb = combinedEmbeddings();
-    }
-    Base = matmulNT(DecOut, Comb);
+    Comb = combinedEmbeddings();
   }
+  TensorPtr Base = matmulNT(DecOut, Comb);
   // Pointer/copy head: attend the encoder memory and scatter the attention
   // mass onto the source token ids.
   float Scale = 1.0f / std::sqrt(static_cast<float>(Config.DModel));
@@ -390,26 +325,13 @@ TensorPtr CodeBE::trainLoss(const TrainPair &Pair, const TensorPtr &Comb) {
   return crossEntropy(Logits, Dst);
 }
 
-void CodeBE::train(const std::vector<TrainPair> &Data,
-                   const std::function<void(int, double)> &OnEpoch) {
-  model::TrainOptions Opts = model::TrainOptions::fromConfig(Config);
-  if (OnEpoch)
-    Opts.OnEpoch = [&OnEpoch](const model::EpochStats &Stats) {
-      OnEpoch(Stats.Epoch, Stats.MeanLoss);
-    };
-  model::Trainer Engine(*this, std::move(Opts));
-  StatusOr<model::TrainResult> Result = Engine.run(Data);
-  assert(Result.isOk() && "config-derived TrainOptions must validate");
-  (void)Result;
-}
-
 /// An immutable, refcount-shared run of decoded self-attention K/V rows.
 /// Prefix nodes form a parent chain from the most recent run back to the
 /// root; assembled root-first they reproduce the chronological row order of
 /// a single flat cache. Nodes are only ever created by KVCacheState::seal()
-/// and never mutated afterwards, so any number of forked decodes (beam
-/// hypotheses, group members — possibly on different threads) can read a
-/// shared prefix concurrently while extending their own private tails.
+/// and never mutated afterwards, so any number of forked beam hypotheses
+/// (possibly on different threads) can read a shared prefix concurrently
+/// while extending their own private tails.
 struct CodeBE::KVPrefix {
   std::shared_ptr<const KVPrefix> Parent;
   std::vector<std::vector<float>> K, V; ///< [layer], Rows×DModel
@@ -641,50 +563,44 @@ int CodeBE::chooseGreedy(const TensorPtr &Logits,
   return Best;
 }
 
-bool CodeBE::decodeGreedyKV(KVCacheState &St, const std::vector<int> &Input,
-                            const std::vector<uint8_t> *Allowed,
-                            const DecodePlan *Plan, bool WithProbs, int Begin,
-                            int End, const TensorPtr &PresenceRow,
-                            int &PrevTok, Decoded &Result) {
-  for (int Step = Begin; Step < End; ++Step) {
-    // Positions past the plan end the statement.
-    if (Plan && static_cast<size_t>(Step) >= Plan->Steps.size())
+bool CodeBE::decodeGreedyKV(DecodeStream::Impl &D) {
+  const int Step = D.Step;
+  // Positions past the plan end the statement.
+  if (D.Plan && static_cast<size_t>(Step) >= D.Plan->Steps.size())
+    return true;
+  const std::vector<int> *StepSet =
+      D.Plan && !D.Plan->Steps[static_cast<size_t>(Step)].empty()
+          ? &D.Plan->Steps[static_cast<size_t>(Step)]
+          : nullptr;
+  // Pinned-step skip: when the plan admits exactly one token and the
+  // caller skipped probabilities, the argmax over the singleton is forced
+  // and the vocabulary-wide logit projection — the dominant GEMM of the
+  // step — can be skipped outright. decodeStep still runs, so the KV
+  // cache holds exactly the rows the logits path would have produced, and
+  // the out-of-range and [EOS] break conditions mirror the argmax path:
+  // the tokens equal those of a WithProbs decode of the same plan.
+  if (!D.WithProbs && StepSet && StepSet->size() == 1) {
+    const int J = (*StepSet)[0];
+    if (J < 0 || J >= static_cast<int>(Vocabulary.size()))
+      return true; // the argmax would find nothing admissible
+    decodeStep(D.St, D.PrevTok);
+    if (J == Vocabulary.eosId())
       return true;
-    const std::vector<int> *StepSet =
-        Plan && !Plan->Steps[static_cast<size_t>(Step)].empty()
-            ? &Plan->Steps[static_cast<size_t>(Step)]
-            : nullptr;
-    // Pinned-step fast path: when the plan admits exactly one token and the
-    // caller skipped probabilities, the argmax over the singleton is forced
-    // and the vocabulary-wide logit projection — the dominant GEMM of the
-    // step — can be skipped outright. decodeStep still runs, so the KV
-    // cache holds exactly the rows the logits path would have produced, and
-    // the out-of-range and [EOS] break conditions mirror the argmax path:
-    // output is byte-identical with the fast path on or off.
-    if (PrefixShare && !WithProbs && StepSet && StepSet->size() == 1) {
-      const int J = (*StepSet)[0];
-      if (J < 0 || J >= static_cast<int>(Vocabulary.size()))
-        return true; // the argmax would find nothing admissible
-      decodeStep(St, PrevTok);
-      if (J == Vocabulary.eosId())
-        return true;
-      Result.Tokens.push_back(J);
-      PrevTok = J;
-      continue;
-    }
-    TensorPtr DecRow = decodeStep(St, PrevTok);
-    TensorPtr Logits =
-        logitsFor(DecRow, St.Memory, Input, /*UseCombCache=*/true,
-                  PresenceRow);
-    double Prob = 1.0;
-    int Best = chooseGreedy(Logits, Allowed, Plan, Step, WithProbs, Prob);
-    if (Best < 0 || Best == Vocabulary.eosId())
-      return true;
-    Result.Tokens.push_back(Best);
-    if (WithProbs)
-      Result.Probs.push_back(Prob);
-    PrevTok = Best;
+    D.Result.Tokens.push_back(J);
+    D.PrevTok = J;
+    return false;
   }
+  TensorPtr DecRow = decodeStep(D.St, D.PrevTok);
+  TensorPtr Logits = logitsFor(DecRow, D.St.Memory, D.Input,
+                               /*UseCombCache=*/true, D.PresenceRow);
+  double Prob = 1.0;
+  int Best = chooseGreedy(Logits, D.Allowed, D.Plan, Step, D.WithProbs, Prob);
+  if (Best < 0 || Best == Vocabulary.eosId())
+    return true;
+  D.Result.Tokens.push_back(Best);
+  if (D.WithProbs)
+    D.Result.Probs.push_back(Prob);
+  D.PrevTok = Best;
   return false;
 }
 
@@ -728,25 +644,6 @@ CodeBE::DecodeStream CodeBE::beginDecode(const std::vector<int> &Src,
   return S;
 }
 
-CodeBE::DecodeStream
-CodeBE::forkDecode(const KVCacheState &Proto, const Decoded &PrefixOut,
-                   int PrevTok, int Step, const std::vector<int> &Input,
-                   const std::vector<uint8_t> *Allowed, const DecodePlan *Plan,
-                   const TensorPtr &PresenceRow) {
-  DecodeStream S;
-  S.I = std::make_unique<DecodeStream::Impl>();
-  DecodeStream::Impl &D = *S.I;
-  D.Input = Input;
-  D.Allowed = Allowed;
-  D.Plan = Plan;
-  D.St = Proto; // CoW fork: shared sealed prefix, private tail
-  D.PresenceRow = PresenceRow;
-  D.Result = PrefixOut;
-  D.PrevTok = PrevTok;
-  D.Step = Step;
-  return S;
-}
-
 size_t CodeBE::decodeStepMany(const std::vector<DecodeStream *> &Streams) {
   NoGradGuard Guard;
   size_t Live = 0;
@@ -759,14 +656,11 @@ size_t CodeBE::decodeStepMany(const std::vector<DecodeStream *> &Streams) {
       D.Done = true;
       continue;
     }
-    // One position of the KV-cached greedy loop — exactly the iteration
-    // body a whole-range decodeGreedyKV call would run at this step, with
-    // the state (cache, previous token, partial result) carried in the
-    // stream. A stream therefore produces the same bytes whether it is
-    // stepped alone or interleaved with any co-batch.
-    const bool Ended =
-        decodeGreedyKV(D.St, D.Input, D.Allowed, D.Plan, D.WithProbs, D.Step,
-                       D.Step + 1, D.PresenceRow, D.PrevTok, D.Result);
+    // One position of the KV-cached greedy decode, with the state (cache,
+    // previous token, partial result) carried in the stream. A stream
+    // therefore produces the same bytes whether it is stepped alone or
+    // interleaved with any co-batch.
+    const bool Ended = decodeGreedyKV(D);
     ++D.Step;
     if (Ended || D.Step >= Config.MaxDstLen)
       D.Done = true;
@@ -791,8 +685,8 @@ CodeBE::Decoded CodeBE::generate(const std::vector<int> &Src,
   Decoded Result;
   if (Mode == DecodeMode::KVCache) {
     // The solo decode is one stream run to completion — the same step-level
-    // path generateGroup() and the serve scheduler co-step many streams
-    // through, so solo and co-batched requests cannot diverge.
+    // path decodeStepMany() co-steps many streams through, so solo and
+    // co-batched decodes cannot diverge.
     DecodeStream S = beginDecode(Src, Allowed, Plan, WithProbs);
     obs::Span DecSpan("model.decode", "model");
     Result = finishDecode(std::move(S));
@@ -830,142 +724,6 @@ CodeBE::Decoded CodeBE::generate(const std::vector<int> &Src,
                   static_cast<double>(Result.Tokens.size()), 0.0,
                   static_cast<double>(Config.MaxDstLen + 1), 16);
   return Result;
-}
-
-std::vector<CodeBE::Decoded>
-CodeBE::generateGroup(const std::vector<GroupRequest> &Reqs, bool WithProbs) {
-  std::vector<Decoded> Out(Reqs.size());
-  if (Reqs.empty())
-    return Out;
-
-  // Sharing preconditions: KV decode without probabilities, the knob on,
-  // and a group that actually coincides — identical encoder input and
-  // identical admissible sets. Anything else falls back to per-request
-  // generate(), which is the semantic baseline sharing must reproduce.
-  bool Share = PrefixShare && Mode == DecodeMode::KVCache && !WithProbs &&
-               Reqs.size() > 1;
-  for (size_t I = 0; Share && I < Reqs.size(); ++I)
-    if (!Reqs[I].Src)
-      Share = false;
-  for (size_t I = 1; Share && I < Reqs.size(); ++I) {
-    if (*Reqs[I].Src != *Reqs[0].Src)
-      Share = false;
-    const std::vector<uint8_t> *A = Reqs[I].Allowed, *B = Reqs[0].Allowed;
-    if ((A == nullptr) != (B == nullptr) || (A && *A != *B))
-      Share = false;
-  }
-  if (!Share) {
-    for (size_t I = 0; I < Reqs.size(); ++I)
-      Out[I] = generate(Reqs[I].Src ? *Reqs[I].Src : std::vector<int>{},
-                        Reqs[I].Allowed, Reqs[I].Plan, WithProbs);
-    return Out;
-  }
-
-  // Longest common plan prefix: steps AND biases must agree position by
-  // position (a bias shifts the argmax, so it is part of step identity).
-  // A missing Bias entry and an empty map are the same thing.
-  size_t Shared = SIZE_MAX;
-  for (const GroupRequest &R : Reqs)
-    Shared = std::min(Shared, R.Plan ? R.Plan->Steps.size() : 0);
-  auto BiasAt = [](const DecodePlan *P, size_t Step) {
-    static const std::map<int, float> Empty;
-    return P->Bias.size() > Step ? &P->Bias[Step] : &Empty;
-  };
-  for (size_t S = 0; S < Shared; ++S)
-    for (size_t I = 1; I < Reqs.size(); ++I)
-      if (Reqs[I].Plan->Steps[S] != Reqs[0].Plan->Steps[S] ||
-          *BiasAt(Reqs[I].Plan, S) != *BiasAt(Reqs[0].Plan, S)) {
-        Shared = S;
-        break;
-      }
-
-  NoGradGuard Guard;
-  obs::Span GroupSpan("model.generate_group", "model");
-  GroupSpan.arg("group", std::to_string(Reqs.size()));
-  GroupSpan.arg("shared_steps", std::to_string(Shared));
-
-  std::vector<int> Input = *Reqs[0].Src;
-  if (static_cast<int>(Input.size()) > Config.MaxSrcLen)
-    Input.resize(static_cast<size_t>(Config.MaxSrcLen));
-  TensorPtr Memory;
-  {
-    obs::Span EncSpan("model.encode", "model");
-    Memory = runEncoder(Input);
-  }
-  obs::Span DecSpan("model.decode", "model");
-
-  // One decode scratch for the whole group: encoder memory and cross
-  // projections are computed once and shared read-only by every fork.
-  KVCacheState Proto;
-  {
-    const int Dk = Config.DModel / Config.Heads;
-    Proto.Memory = Memory;
-    Proto.CrossK.resize(Dec.size());
-    Proto.CrossV.resize(Dec.size());
-    Proto.SelfK.resize(Dec.size());
-    Proto.SelfV.resize(Dec.size());
-    for (size_t LI = 0; LI < Dec.size(); ++LI) {
-      TensorPtr K = linear(Memory, Dec[LI].Cross.K);
-      TensorPtr V = linear(Memory, Dec[LI].Cross.V);
-      for (int HI = 0; HI < Config.Heads; ++HI) {
-        Proto.CrossK[LI].push_back(sliceCols(K, HI * Dk, Dk));
-        Proto.CrossV[LI].push_back(sliceCols(V, HI * Dk, Dk));
-      }
-    }
-  }
-  TensorPtr PresenceRow = presenceFor(1, Input);
-
-  // Decode the common prefix once. Any request's plan stands in for the
-  // group over [0, Shared) — the steps are identical by construction.
-  Decoded PrefixOut;
-  int PrevTok = Vocabulary.e2dId();
-  bool Ended =
-      Shared > 0 && decodeGreedyKV(Proto, Input, Reqs[0].Allowed, Reqs[0].Plan,
-                                   /*WithProbs=*/false, 0,
-                                   static_cast<int>(Shared), PresenceRow,
-                                   PrevTok, PrefixOut);
-
-  auto &Metrics = obs::MetricsRegistry::instance();
-  Metrics.addCounter("gen.prefix.hits",
-                     static_cast<uint64_t>(Reqs.size() - 1));
-  for (size_t I = 1; I < Reqs.size(); ++I)
-    Metrics.observe("gen.prefix_reuse_tokens",
-                    static_cast<double>(Proto.Len)); // shape declared centrally
-
-  if (Ended) {
-    // The decode finished inside the shared prefix, so every member's own
-    // decode would have produced exactly these tokens.
-    for (size_t I = 0; I < Reqs.size(); ++I)
-      Out[I] = PrefixOut;
-  } else {
-    Proto.seal();
-    Metrics.addCounter("gen.prefix.forks", static_cast<uint64_t>(Reqs.size()));
-    // Fork every member copy-on-write off the sealed prefix and advance the
-    // forks in lockstep — one KV-cached pass per member per step, retiring
-    // members at EOS. Members are independent streams, so co-stepping is
-    // byte-identical to running each tail to completion on its own.
-    std::vector<DecodeStream> Tails;
-    Tails.reserve(Reqs.size());
-    for (size_t I = 0; I < Reqs.size(); ++I)
-      Tails.push_back(forkDecode(Proto, PrefixOut, PrevTok,
-                                 static_cast<int>(Shared), Input,
-                                 Reqs[I].Allowed, Reqs[I].Plan, PresenceRow));
-    std::vector<DecodeStream *> CoBatch;
-    CoBatch.reserve(Tails.size());
-    for (DecodeStream &T : Tails)
-      CoBatch.push_back(&T);
-    while (decodeStepMany(CoBatch) > 0) {
-    }
-    for (size_t I = 0; I < Reqs.size(); ++I)
-      Out[I] = finishDecode(std::move(Tails[I]));
-  }
-  // Per-member accounting matches what the unshared fallback would emit.
-  Metrics.addCounter("model.generate_calls",
-                     static_cast<uint64_t>(Reqs.size()));
-  for (const Decoded &D : Out)
-    Metrics.observe("model.tokens_decoded", static_cast<double>(D.Tokens.size()),
-                    0.0, static_cast<double>(Config.MaxDstLen + 1), 16);
-  return Out;
 }
 
 std::vector<CodeBE::BeamHypothesis>
@@ -1196,6 +954,5 @@ bool CodeBE::loadWeights(const std::string &Blob) {
       return false;
   }
   CombDirty = true;
-  QCombDirty = true;
   return Pos == Blob.size();
 }

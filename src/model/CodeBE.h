@@ -23,32 +23,14 @@
 #include "model/Vocab.h"
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string_view>
 
 namespace vega {
 
 namespace model {
 class Trainer;
 } // namespace model
-
-/// Numeric precision of the inference-time vocabulary projection (the
-/// dominant GEMM of every decode step). FP32 is the training path and the
-/// default; INT8 quantizes the combined-embedding matrix per row (symmetric
-/// absmax scales) and accumulates in int32, so it is bit-deterministic at
-/// any thread count but NOT bit-equal to FP32 — see DESIGN.md §14 for the
-/// exact contract. Checkpoints always store fp32 weights regardless of the
-/// active precision.
-enum class Precision { FP32, INT8 };
-
-/// Canonical lowercase name ("fp32" / "int8").
-const char *precisionName(Precision P);
-
-/// Parses a canonical name; std::nullopt for anything else.
-std::optional<Precision> parsePrecision(std::string_view Name);
 
 /// Hyperparameters (paper §4.1.2 scaled down; see DESIGN.md §2).
 struct CodeBEConfig {
@@ -78,14 +60,6 @@ struct TrainPair {
 class CodeBE {
 public:
   CodeBE(Vocab Vocabulary, CodeBEConfig Config);
-
-  /// Fine-tunes on \p Data (teacher forcing, Adam, cross-entropy — §4.1.2).
-  /// \p OnEpoch, when set, receives (epoch, meanLoss) after each epoch.
-  /// Legacy convenience wrapper: builds model::TrainOptions from Config
-  /// (serial, jobs=1) and delegates to model::Trainer — use the Trainer
-  /// directly for explicit schedules, parallel training, and diagnostics.
-  void train(const std::vector<TrainPair> &Data,
-             const std::function<void(int, double)> &OnEpoch = nullptr);
 
   /// Greedy decode for \p Src. When \p Allowed is non-null (one byte per
   /// vocab id), decoding is constrained to the allowed set — the
@@ -118,33 +92,11 @@ public:
                    const std::vector<uint8_t> *Allowed = nullptr,
                    const DecodePlan *Plan = nullptr, bool WithProbs = true);
 
-  /// One member of a group decode (pointers must outlive the call).
-  struct GroupRequest {
-    const std::vector<int> *Src = nullptr;
-    const std::vector<uint8_t> *Allowed = nullptr;
-    const DecodePlan *Plan = nullptr;
-  };
-
-  /// Decodes every request, sharing work across the group when it is safe:
-  /// requests with identical Src (and identical Allowed sets) run the
-  /// encoder and the cross-attention projections once, decode the longest
-  /// common prefix of their plans (steps AND biases must agree) once into a
-  /// shared KV prefix, and fork copy-on-write per request for the
-  /// divergent tail. Results are byte-identical to calling generate() per
-  /// request with the same WithProbs — sharing only skips recomputation,
-  /// never changes a choice. Falls back to per-request generate() whenever
-  /// sharing cannot apply (mixed Src, WithProbs, FullRecompute mode, or
-  /// prefix sharing disabled). Emits gen.prefix.hits / gen.prefix.forks
-  /// counters and the gen.prefix_reuse_tokens histogram when sharing fires.
-  std::vector<Decoded> generateGroup(const std::vector<GroupRequest> &Reqs,
-                                     bool WithProbs = false);
-
   /// One in-flight KV-cached greedy decode, advanced one output position at
   /// a time by decodeStepMany(). A stream owns its decode scratch (KV cache,
   /// presence row, partial result), so any number of streams can be stepped
   /// in any interleaving; the Allowed/Plan pointers passed to beginDecode()
-  /// are borrowed and must outlive the stream (the GroupRequest contract).
-  /// Move-only.
+  /// are borrowed and must outlive the stream. Move-only.
   class DecodeStream {
   public:
     DecodeStream(DecodeStream &&Other) noexcept;
@@ -171,10 +123,10 @@ public:
   /// cross-attention projections and the KV scratch, and leaves the stream
   /// ready for its first step. Streams always decode on the KV-cache path
   /// (like decodeBeam), regardless of the DecodeMode knob. This is the
-  /// step-level multi-request decode entry point: the serve scheduler and
-  /// generateGroup() co-step many streams through decodeStepMany(), and
-  /// generate() itself is one stream run to completion, so solo and
-  /// co-batched decodes are the same code path and byte-identical.
+  /// step-level multi-request decode entry point: callers may co-step many
+  /// streams through decodeStepMany(), and generate() itself is one stream
+  /// run to completion, so solo and co-batched decodes are the same code
+  /// path and byte-identical.
   DecodeStream beginDecode(const std::vector<int> &Src,
                            const std::vector<uint8_t> *Allowed = nullptr,
                            const DecodePlan *Plan = nullptr,
@@ -191,7 +143,7 @@ public:
 
   /// Consumes the stream and returns its result, stepping it to completion
   /// first if it is not done. Emits no metrics — callers account for whole
-  /// decodes (see generate()/generateGroup()).
+  /// decodes (see generate()).
   Decoded finishDecode(DecodeStream S);
 
   /// One ranked beam-search candidate.
@@ -225,20 +177,6 @@ public:
   enum class DecodeMode { KVCache, FullRecompute };
   void setDecodeMode(DecodeMode M) { Mode = M; }
   DecodeMode decodeMode() const { return Mode; }
-
-  /// Selects the inference precision (see vega::Precision). Weights are
-  /// untouched — INT8 only swaps the vocabulary-projection GEMM for the
-  /// quantized route, so switching back to FP32 restores bit-exact fp32
-  /// behaviour. Not thread-safe against in-flight generate() calls.
-  void setPrecision(Precision P);
-  Precision precision() const { return Prec; }
-
-  /// Enables/disables the decode fast paths that reuse work across plan
-  /// positions and group members (pinned-step logit skip, group-level KV
-  /// prefix sharing). On (the default) and off produce byte-identical
-  /// output; off exists as the reference path for equivalence smokes.
-  void setPrefixSharing(bool On) { PrefixShare = On; }
-  bool prefixSharing() const { return PrefixShare; }
 
   /// Readies the model for concurrent generate() calls: forces the shared
   /// inference embedding cache fresh so worker threads never race to build
@@ -323,30 +261,13 @@ private:
   int chooseGreedy(const TensorPtr &Logits, const std::vector<uint8_t> *Allowed,
                    const DecodePlan *Plan, int Step, bool WithProbs,
                    double &Prob) const;
-  /// Runs the KV-cache greedy loop over plan steps [Begin, End), extending
-  /// \p St and appending chosen tokens to \p Result. \p PrevTok carries the
-  /// last token fed to the decoder across calls. Returns true when the
-  /// decode ended inside the range (EOS, no admissible token, or plan
-  /// exhausted) — the caller must not continue it.
-  bool decodeGreedyKV(KVCacheState &St, const std::vector<int> &Input,
-                      const std::vector<uint8_t> *Allowed,
-                      const DecodePlan *Plan, bool WithProbs, int Begin,
-                      int End, const TensorPtr &PresenceRow, int &PrevTok,
-                      Decoded &Result);
-  /// Forks a stream off a sealed group-decode prefix: shares \p Proto's
-  /// prefix chain and cross projections copy-on-write, seeds the partial
-  /// result/previous token/step so the fork continues where the shared
-  /// prefix stopped.
-  DecodeStream forkDecode(const KVCacheState &Proto, const Decoded &PrefixOut,
-                          int PrevTok, int Step, const std::vector<int> &Input,
-                          const std::vector<uint8_t> *Allowed,
-                          const DecodePlan *Plan,
-                          const TensorPtr &PresenceRow);
+  /// Runs one KV-cached greedy step of \p D at plan position D.Step,
+  /// extending its cache and appending the chosen token to its result.
+  /// Returns true when the decode ended at this step (EOS, no admissible
+  /// token, or plan exhausted) — the caller must not continue it.
+  bool decodeGreedyKV(DecodeStream::Impl &D);
   TensorPtr combinedEmbeddings();
   void refreshCombCache();
-  /// Rebuilds the int8 quantization of the combined embeddings (per-row
-  /// absmax scales over the same fp32 values refreshCombCache snapshots).
-  void refreshQCombCache();
   std::vector<TensorPtr> parameters() const;
   std::unique_ptr<Tensor> causalMask(int Len) const;
 
@@ -360,16 +281,8 @@ private:
   TensorPtr SrcBias; ///< learned boost for tokens present in the source
   TensorPtr CombCache; ///< no-grad combined embeddings for inference
   std::atomic<bool> CombDirty{true};
-  /// Quantized mirror of CombCache for the INT8 route: per-row int8 codes
-  /// plus one fp32 scale per vocabulary row. Rebuilt lazily under CombMu
-  /// whenever the weights change (QCombDirty), like CombCache.
-  std::vector<int8_t> QCombData;
-  std::vector<float> QCombScale;
-  std::atomic<bool> QCombDirty{true};
-  std::mutex CombMu; ///< serializes CombCache/QComb refresh across threads
+  std::mutex CombMu; ///< serializes CombCache refresh across threads
   DecodeMode Mode = DecodeMode::KVCache;
-  Precision Prec = Precision::FP32;
-  bool PrefixShare = true;
 
   /// The data-parallel training engine drives trainLoss/parameters/
   /// combinedEmbeddings directly.

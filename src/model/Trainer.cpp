@@ -196,7 +196,6 @@ StatusOr<TrainResult> Trainer::run(const std::vector<TrainPair> &Data) {
     }
     flushBatch();
     Model.CombDirty = true;
-    Model.QCombDirty = true;
 
     double MeanLoss = Count ? LossSum / static_cast<double>(Count) : 0.0;
     double Seconds = EpochSpan.seconds();
@@ -224,7 +223,6 @@ StatusOr<TrainResult> Trainer::run(const std::vector<TrainPair> &Data) {
     }
   }
   Model.CombDirty = true;
-  Model.QCombDirty = true;
 
   Result.EpochsRun = Opts.Epochs;
   Result.Seconds =

@@ -162,8 +162,6 @@ MetricsRegistry::MetricsRegistry() {
   declareHistogram("serve.queue_ms", 0.01, 600000.0, 64, /*LogScale=*/true);
   declareHistogram("serve.batch_size", 0.0, 32.0, 32);
   declareHistogram("gen.confidence", 0.0, 1.0, 10);
-  // KV rows reused per prefix-sharing hit (0..MaxDstLen+margin).
-  declareHistogram("gen.prefix_reuse_tokens", 0.0, 64.0, 32);
   declareHistogram("train.epoch_loss", 0.0, 16.0, 32);
 }
 

@@ -329,8 +329,6 @@ Json VegaServer::handleInfo() const {
            static_cast<uint64_t>(Session.system().templates().size()));
   Info.set("fromCheckpoint", Session.loadedFromCheckpoint());
   Info.set("maxBatch", Options.Window);
-  Info.set("precision", precisionName(Session.precision()));
-  Info.set("prefixSharing", Session.prefixSharing());
   return Info;
 }
 

@@ -1,94 +1,15 @@
-//===- tests/BenchSerializationTest.cpp - backend cache round trip --------------===//
+//===- tests/BenchSerializationTest.cpp - bench report round trips --------------===//
 //
 // Part of the VEGA reproduction project.
 // SPDX-License-Identifier: Apache-2.0 WITH LLVM-exception
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchCommon.h"
-#include "ast/Parser.h"
 #include "flywheel/Flywheel.h"
-#include "lexer/Lexer.h"
 
 #include <gtest/gtest.h>
 
 using namespace vega;
-
-namespace {
-
-GeneratedBackend sampleBackend() {
-  GeneratedBackend GB;
-  GB.TargetName = "RISCV";
-  GB.ModuleSeconds[BackendModule::EMI] = 1.25;
-  GB.ModuleSeconds[BackendModule::SEL] = 3.5;
-
-  GeneratedFunction F;
-  F.InterfaceName = "getNumFixupKinds";
-  F.Module = BackendModule::EMI;
-  F.Emitted = true;
-  F.Confidence = 0.95;
-  F.MultiTargetDerived = true;
-  F.Seconds = 0.4;
-  auto AST = parseFunction("unsigned RISCVAsmBackend::getNumFixupKinds() "
-                           "const {\n return RISCV::NumTargetFixupKinds;\n}");
-  F.AST = std::move(*AST);
-  GeneratedStatement S;
-  S.RowIndex = 1;
-  S.Confidence = 0.85;
-  S.Emitted = true;
-  S.Tokens = Lexer::tokenize("return RISCV::NumTargetFixupKinds;");
-  F.Statements.push_back(S);
-  GB.Functions.push_back(std::move(F));
-
-  GeneratedFunction Missing;
-  Missing.InterfaceName = "fillDelaySlots";
-  Missing.Module = BackendModule::SCH;
-  Missing.Emitted = false;
-  Missing.Confidence = 0.1;
-  GB.Functions.push_back(std::move(Missing));
-  return GB;
-}
-
-} // namespace
-
-TEST(BenchSerialization, RoundTripPreservesEverything) {
-  GeneratedBackend GB = sampleBackend();
-  std::string Blob = bench::serializeBackend(GB);
-  GeneratedBackend Back;
-  ASSERT_TRUE(bench::deserializeBackend(Blob, Back));
-
-  EXPECT_EQ(Back.TargetName, "RISCV");
-  ASSERT_EQ(Back.Functions.size(), 2u);
-  const GeneratedFunction &F = Back.Functions[0];
-  EXPECT_EQ(F.InterfaceName, "getNumFixupKinds");
-  EXPECT_EQ(F.Module, BackendModule::EMI);
-  EXPECT_TRUE(F.Emitted);
-  EXPECT_NEAR(F.Confidence, 0.95, 1e-6);
-  EXPECT_TRUE(F.MultiTargetDerived);
-  EXPECT_EQ(F.AST.render(), GB.Functions[0].AST.render());
-  ASSERT_EQ(F.Statements.size(), 1u);
-  EXPECT_EQ(F.Statements[0].RowIndex, 1);
-  EXPECT_NEAR(F.Statements[0].Confidence, 0.85, 1e-6);
-  EXPECT_EQ(renderTokens(F.Statements[0].Tokens),
-            "return RISCV::NumTargetFixupKinds;");
-
-  EXPECT_FALSE(Back.Functions[1].Emitted);
-  EXPECT_NEAR(Back.ModuleSeconds[BackendModule::EMI], 1.25, 1e-6);
-  EXPECT_NEAR(Back.ModuleSeconds[BackendModule::SEL], 3.5, 1e-6);
-}
-
-TEST(BenchSerialization, RejectsGarbage) {
-  GeneratedBackend Out;
-  EXPECT_FALSE(bench::deserializeBackend("", Out));
-  EXPECT_FALSE(bench::deserializeBackend("nonsense\nlines\n", Out));
-}
-
-TEST(BenchSerialization, EmptyBackendRejected) {
-  GeneratedBackend GB;
-  GB.TargetName = "RISCV";
-  GeneratedBackend Out;
-  EXPECT_FALSE(bench::deserializeBackend(bench::serializeBackend(GB), Out));
-}
 
 namespace {
 

@@ -217,6 +217,16 @@ TEST(Vocab, SerializeRoundTrip) {
   EXPECT_EQ(V2.idOf("beta_gamma"), V.idOf("beta_gamma"));
 }
 
+namespace {
+
+/// Fine-tunes \p Model on \p Data with the schedule its config names.
+void trainOnConfig(CodeBE &Model, const std::vector<TrainPair> &Data) {
+  model::Trainer Engine(Model, model::TrainOptions::fromConfig(Model.config()));
+  ASSERT_TRUE(Engine.run(Data).isOk());
+}
+
+} // namespace
+
 TEST(CodeBE, LearnsACopyTask) {
   Vocab V;
   std::vector<std::string> Words;
@@ -242,7 +252,7 @@ TEST(CodeBE, LearnsACopyTask) {
     Data.push_back(P);
   }
   CodeBE Model(V, C);
-  Model.train(Data);
+  trainOnConfig(Model, Data);
   double EM = Model.exactMatch({Data.begin(), Data.begin() + 40});
   EXPECT_GT(EM, 0.9);
 }
@@ -275,7 +285,7 @@ TEST(CodeBE, KVCacheDecodeMatchesFullRecompute) {
     Data.push_back(P);
   }
   CodeBE Model(V, C);
-  Model.train(Data);
+  trainOnConfig(Model, Data);
 
   RNG Pick(23);
   for (int Case = 0; Case < 20; ++Case) {
@@ -337,7 +347,7 @@ TEST(CodeBE, BeamWidthOneMatchesGreedyAndRanksDescend) {
     Data.push_back(P);
   }
   CodeBE Model(V, C);
-  Model.train(Data);
+  trainOnConfig(Model, Data);
 
   RNG Pick(31);
   for (int Case = 0; Case < 10; ++Case) {
@@ -621,8 +631,8 @@ TEST(Trainer, InvalidOptionsSurfaceTypedStatus) {
 
 namespace {
 
-/// A small trained copy-task model shared by the quantization / prefix
-/// sharing tests (training is the expensive part; the tests only decode).
+/// A small trained copy-task model shared by the decode-path tests
+/// (training is the expensive part; the tests only decode).
 struct SharedDecodeModel {
   Vocab V;
   std::vector<std::string> Words;
@@ -651,7 +661,7 @@ struct SharedDecodeModel {
       Data.push_back(P);
     }
     Model = std::make_unique<CodeBE>(V, C);
-    Model->train(Data);
+    trainOnConfig(*Model, Data);
   }
 
   static SharedDecodeModel &instance() {
@@ -662,66 +672,10 @@ struct SharedDecodeModel {
 
 } // namespace
 
-TEST(Autograd, QuantizedGemmMatchesIntegerReference) {
-  // The int8 route promises exact integer accumulation: the dequantized
-  // output must equal a naive int32 reference bit for bit, and the
-  // quantizer must round to nearest with ties away from zero.
-  {
-    float Row[4] = {0.0f, 127.0f, -127.0f, 63.5f};
-    int8_t Q[4];
-    float S;
-    detail::quantizeRowsQ8(Row, 1, 4, Q, &S);
-    EXPECT_FLOAT_EQ(S, 1.0f);
-    EXPECT_EQ(Q[0], 0);
-    EXPECT_EQ(Q[1], 127);
-    EXPECT_EQ(Q[2], -127);
-    EXPECT_EQ(Q[3], 64); // 63.5 rounds away from zero
-  }
-  {
-    // An all-zero row must produce zero scale and zero codes (and a zero
-    // output row, not NaN from 0/0).
-    float Row[3] = {0.0f, 0.0f, 0.0f};
-    int8_t Q[3];
-    float S = 1.0f;
-    detail::quantizeRowsQ8(Row, 1, 3, Q, &S);
-    EXPECT_EQ(S, 0.0f);
-    EXPECT_EQ(Q[0], 0);
-    EXPECT_EQ(Q[1], 0);
-    EXPECT_EQ(Q[2], 0);
-  }
-
-  constexpr int M = 5, K = 7, N = 9;
-  RNG Rng(53);
-  std::vector<float> A(M * K), B(N * K);
-  for (float &X : A)
-    X = static_cast<float>(Rng.nextGaussian());
-  for (float &X : B)
-    X = static_cast<float>(Rng.nextGaussian());
-  std::vector<int8_t> QA(M * K), QB(N * K);
-  std::vector<float> SA(M), SB(N);
-  detail::quantizeRowsQ8(A.data(), M, K, QA.data(), SA.data());
-  detail::quantizeRowsQ8(B.data(), N, K, QB.data(), SB.data());
-  std::vector<float> C(M * N, -1.0f);
-  detail::gemmNTQ8(QA.data(), SA.data(), QB.data(), SB.data(), C.data(), M,
-                   K, N);
-  for (int I = 0; I < M; ++I)
-    for (int J = 0; J < N; ++J) {
-      int32_t Acc = 0;
-      for (int P = 0; P < K; ++P)
-        Acc += static_cast<int32_t>(QA[I * K + P]) *
-               static_cast<int32_t>(QB[J * K + P]);
-      float Want = static_cast<float>(Acc) * SA[static_cast<size_t>(I)] *
-                   SB[static_cast<size_t>(J)];
-      EXPECT_EQ(C[static_cast<size_t>(I * N + J)], Want)
-          << "element " << I << "," << J;
-    }
-}
-
-TEST(CodeBE, PrefixSharingPreservesGreedyOutput) {
-  // The pinned-step fast path (and the CoW KV prefix machinery behind it)
-  // must be invisible in the output: sharing on and off decode the same
-  // bytes, with and without a plan, and WithProbs still returns the same
-  // probabilities.
+TEST(CodeBE, PinnedStepSkipPreservesGreedyOutput) {
+  // A decode without probabilities skips the logits of every step its plan
+  // pins to one token; a decode with probabilities runs the full argmax at
+  // every step. Both must choose the same tokens, with and without a plan.
   SharedDecodeModel &M = SharedDecodeModel::instance();
   CodeBE &Model = *M.Model;
   const Vocab &V = M.V;
@@ -731,95 +685,30 @@ TEST(CodeBE, PrefixSharingPreservesGreedyOutput) {
   Plan.Steps.push_back({V.idOf(M.Words[4])});
   Plan.Steps.push_back({V.idOf(M.Words[1]), V.idOf(M.Words[2])});
   Plan.Steps.push_back({V.idOf(M.Words[7])});
+  // An out-of-range pin ends the decode exactly where the argmax would.
+  CodeBE::DecodePlan OutOfRange = Plan;
+  OutOfRange.Steps[3] = {static_cast<int>(V.size()) + 5};
 
   RNG Pick(59);
   for (int Case = 0; Case < 8; ++Case) {
     std::vector<int> Src = {V.clsId(), V.idOf(M.Words[Pick.nextBelow(12)]),
                             V.idOf(M.Words[Pick.nextBelow(12)])};
     for (const CodeBE::DecodePlan *P :
-         std::initializer_list<const CodeBE::DecodePlan *>{nullptr, &Plan}) {
-      Model.setPrefixSharing(false);
-      CodeBE::Decoded Off = Model.generate(Src, nullptr, P, false);
-      CodeBE::Decoded OffProbs = Model.generate(Src, nullptr, P, true);
-      Model.setPrefixSharing(true);
-      CodeBE::Decoded On = Model.generate(Src, nullptr, P, false);
-      CodeBE::Decoded OnProbs = Model.generate(Src, nullptr, P, true);
-      EXPECT_EQ(Off.Tokens, On.Tokens) << "case " << Case;
-      EXPECT_EQ(OffProbs.Tokens, OnProbs.Tokens) << "case " << Case;
-      ASSERT_EQ(OffProbs.Probs.size(), OnProbs.Probs.size())
-          << "case " << Case;
-      for (size_t I = 0; I < OffProbs.Probs.size(); ++I)
-        EXPECT_EQ(OffProbs.Probs[I], OnProbs.Probs[I])
-            << "case " << Case << " position " << I;
+         std::initializer_list<const CodeBE::DecodePlan *>{nullptr, &Plan,
+                                                           &OutOfRange}) {
+      CodeBE::Decoded Skip = Model.generate(Src, nullptr, P, false);
+      CodeBE::Decoded Full = Model.generate(Src, nullptr, P, true);
+      EXPECT_EQ(Skip.Tokens, Full.Tokens) << "case " << Case;
+      EXPECT_TRUE(Skip.Probs.empty()) << "case " << Case;
+      EXPECT_EQ(Full.Probs.size(), Full.Tokens.size()) << "case " << Case;
     }
   }
-  Model.setPrefixSharing(true);
-}
-
-TEST(CodeBE, GenerateGroupMatchesPerRequestGenerate) {
-  // Group decode shares the encoder pass and the longest common plan
-  // prefix, then forks copy-on-write. Outputs must be byte-identical to
-  // per-request generate(), including when the plans diverge mid-way
-  // (fork-then-extend independence: one member's tail must not leak into
-  // another's).
-  SharedDecodeModel &M = SharedDecodeModel::instance();
-  CodeBE &Model = *M.Model;
-  const Vocab &V = M.V;
-
-  std::vector<int> Src = {V.clsId(), V.idOf(M.Words[3]), V.idOf(M.Words[8])};
-
-  // Three plans sharing a 2-step prefix, diverging after it.
-  CodeBE::DecodePlan P1, P2, P3;
-  for (CodeBE::DecodePlan *P : {&P1, &P2, &P3}) {
-    P->Steps.push_back({V.csId(20)});
-    P->Steps.push_back({V.idOf(M.Words[5])});
-  }
-  P1.Steps.push_back({V.idOf(M.Words[0])});
-  P1.Steps.push_back({V.idOf(M.Words[1])});
-  P2.Steps.push_back({V.idOf(M.Words[2])});
-  P2.Steps.push_back({V.idOf(M.Words[9])});
-  // P3 ends at the shared prefix.
-
-  std::vector<CodeBE::GroupRequest> Reqs = {
-      {&Src, nullptr, &P1}, {&Src, nullptr, &P2}, {&Src, nullptr, &P3}};
-
-  Model.setPrefixSharing(true);
-  std::vector<CodeBE::Decoded> Group = Model.generateGroup(Reqs);
-  ASSERT_EQ(Group.size(), Reqs.size());
-
-  Model.setPrefixSharing(false);
-  for (size_t I = 0; I < Reqs.size(); ++I) {
-    CodeBE::Decoded Solo =
-        Model.generate(*Reqs[I].Src, Reqs[I].Allowed, Reqs[I].Plan, false);
-    EXPECT_EQ(Group[I].Tokens, Solo.Tokens) << "member " << I;
-  }
-  Model.setPrefixSharing(true);
-
-  // Identical plans across the group: everyone gets the shared result.
-  std::vector<CodeBE::GroupRequest> Same(4,
-                                         CodeBE::GroupRequest{&Src, nullptr,
-                                                              &P1});
-  std::vector<CodeBE::Decoded> SameOut = Model.generateGroup(Same);
-  ASSERT_EQ(SameOut.size(), 4u);
-  CodeBE::Decoded Ref = Model.generate(Src, nullptr, &P1, false);
-  for (size_t I = 0; I < SameOut.size(); ++I)
-    EXPECT_EQ(SameOut[I].Tokens, Ref.Tokens) << "member " << I;
-
-  // Mixed Src groups must fall back safely and still match.
-  std::vector<int> Src2 = {V.clsId(), V.idOf(M.Words[6])};
-  std::vector<CodeBE::GroupRequest> Mixed = {{&Src, nullptr, &P1},
-                                             {&Src2, nullptr, &P1}};
-  std::vector<CodeBE::Decoded> MixedOut = Model.generateGroup(Mixed);
-  ASSERT_EQ(MixedOut.size(), 2u);
-  EXPECT_EQ(MixedOut[0].Tokens, Model.generate(Src, nullptr, &P1, false).Tokens);
-  EXPECT_EQ(MixedOut[1].Tokens,
-            Model.generate(Src2, nullptr, &P1, false).Tokens);
 }
 
 TEST(CodeBE, SharedPrefixImmutableUnderConcurrentDecode) {
-  // Four threads decode the same sources concurrently with sharing on;
-  // every result must match the serial decode. A mutable shared prefix
-  // would corrupt one thread's KV rows with another's tail.
+  // Four threads decode the same sources concurrently; every result must
+  // match the serial decode. Mutable shared decode state would corrupt one
+  // thread's KV rows with another's tail.
   SharedDecodeModel &M = SharedDecodeModel::instance();
   CodeBE &Model = *M.Model;
   const Vocab &V = M.V;
@@ -835,7 +724,6 @@ TEST(CodeBE, SharedPrefixImmutableUnderConcurrentDecode) {
   for (int I = 0; I < 5; ++I)
     Plan.Steps.push_back({V.idOf(M.Words[static_cast<size_t>(I * 2)])});
 
-  Model.setPrefixSharing(true);
   std::vector<std::vector<int>> Want;
   for (const std::vector<int> &S : Srcs)
     Want.push_back(Model.generate(S, nullptr, &Plan, false).Tokens);
@@ -847,39 +735,6 @@ TEST(CodeBE, SharedPrefixImmutableUnderConcurrentDecode) {
   });
   for (size_t I = 0; I < Srcs.size(); ++I)
     EXPECT_EQ(Got[I], Want[I]) << "lane " << I;
-}
-
-TEST(CodeBE, Int8DecodeIsDeterministicAcrossModes) {
-  // int8 decode is a different numeric contract from fp32, but it must be
-  // self-consistent: repeated calls bit-identical, and the KV-cached
-  // decoder must match full recomputation exactly under int8 as well.
-  SharedDecodeModel &M = SharedDecodeModel::instance();
-  CodeBE &Model = *M.Model;
-  const Vocab &V = M.V;
-
-  Model.setPrecision(Precision::INT8);
-  Model.setPrefixSharing(false);
-  RNG Pick(67);
-  for (int Case = 0; Case < 8; ++Case) {
-    std::vector<int> Src = {V.clsId(), V.idOf(M.Words[Pick.nextBelow(12)]),
-                            V.idOf(M.Words[Pick.nextBelow(12)])};
-    Model.setDecodeMode(CodeBE::DecodeMode::KVCache);
-    CodeBE::Decoded KV1 = Model.generate(Src);
-    CodeBE::Decoded KV2 = Model.generate(Src);
-    EXPECT_EQ(KV1.Tokens, KV2.Tokens) << "case " << Case;
-    ASSERT_EQ(KV1.Probs.size(), KV2.Probs.size()) << "case " << Case;
-    for (size_t I = 0; I < KV1.Probs.size(); ++I)
-      EXPECT_EQ(KV1.Probs[I], KV2.Probs[I]) << "case " << Case;
-    Model.setDecodeMode(CodeBE::DecodeMode::FullRecompute);
-    CodeBE::Decoded Full = Model.generate(Src);
-    Model.setDecodeMode(CodeBE::DecodeMode::KVCache);
-    EXPECT_EQ(Full.Tokens, KV1.Tokens) << "case " << Case;
-    ASSERT_EQ(Full.Probs.size(), KV1.Probs.size()) << "case " << Case;
-    for (size_t I = 0; I < Full.Probs.size(); ++I)
-      EXPECT_EQ(Full.Probs[I], KV1.Probs[I]) << "case " << Case;
-  }
-  Model.setPrecision(Precision::FP32);
-  Model.setPrefixSharing(true);
 }
 
 TEST(CodeBE, DecodeStepManyMatchesSoloWithMidFlightJoin) {

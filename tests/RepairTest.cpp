@@ -157,22 +157,6 @@ TEST(Repair, ReportJsonByteIdenticalAcrossJobs) {
   EXPECT_EQ(serve::repairToJson(*A).dump(2), serve::repairToJson(*B).dump(2));
 }
 
-TEST(Repair, LegacyEvaluateWrapperMatchesExplicitTextOracleBytes) {
-  // The 3-arg evaluateBackend is now a thin wrapper over the pluggable
-  // oracle API; its rendering must be byte-identical to spelling the text
-  // oracle out explicitly.
-  const Backend *Golden = session().corpus().backend("RISCV");
-  const TargetTraits *Traits = session().corpus().targets().find("RISCV");
-  ASSERT_NE(Golden, nullptr);
-  ASSERT_NE(Traits, nullptr);
-  BackendEval Legacy = evaluateBackend(riscvBackend(), *Golden, *Traits);
-  BackendEval Explicit = evaluateBackend(riscvBackend(), *Golden, *Traits,
-                                         eval::textOracle());
-  EXPECT_EQ(serve::evalToJson(Legacy).dump(2),
-            serve::evalToJson(Explicit).dump(2));
-  EXPECT_EQ(Legacy.OracleName, "text");
-}
-
 TEST(Repair, DifferentialOracleGatedRepairNeverRegresses) {
   // Swapping the gating oracle for the randomized differential one must
   // preserve the acceptance invariant: accuracy under that same oracle

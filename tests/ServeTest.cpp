@@ -432,62 +432,6 @@ TEST(Serve, StreamTransportAnswersInOrderAndStopsOnShutdown) {
   EXPECT_EQ(Responses[2].getNumber("id"), 3.0);
 }
 
-TEST(Serve, InfoReportsDecodeKnobs) {
-  VegaServer Server(session(), ServerOptions());
-  Json Info = parsed(Server.handleLine(R"({"id":1,"method":"info"})"));
-  const Json *Result = Info.get("result");
-  ASSERT_NE(Result, nullptr);
-  EXPECT_EQ(Result->getString("precision"), "fp32");
-  ASSERT_NE(Result->get("prefixSharing"), nullptr);
-  EXPECT_TRUE(Result->get("prefixSharing")->asBool());
-
-  session().setPrecision(Precision::INT8);
-  session().setPrefixSharing(false);
-  Json Alt = parsed(Server.handleLine(R"({"id":2,"method":"info"})"));
-  session().setPrecision(Precision::FP32);
-  session().setPrefixSharing(true);
-  const Json *AltResult = Alt.get("result");
-  ASSERT_NE(AltResult, nullptr);
-  EXPECT_EQ(AltResult->getString("precision"), "int8");
-  EXPECT_FALSE(AltResult->get("prefixSharing")->asBool());
-}
-
-TEST(Serve, StatsExposesPrefixSharingTelemetry) {
-  // A plain generate over the real corpus legitimately shares nothing
-  // (no duplicate candidate sites; DESIGN.md §14), so drive one shared
-  // group decode directly through the session's model and require the
-  // hit counter and reuse histogram to surface in the stats RPC.
-  VegaServer Server(session(), ServerOptions());
-  obs::MetricsRegistry::instance().clear();
-  parsed(Server.handleLine(
-      R"({"id":1,"method":"generate","params":{"target":"RISCV"}})"));
-
-  CodeBE *Model = session().system().model();
-  const Vocab &V = Model->vocab();
-  std::vector<int> Src = {V.clsId()};
-  CodeBE::DecodePlan Plan;
-  Plan.Steps.push_back({V.csId(20)});
-  Plan.Steps.push_back({V.csId(40)});
-  std::vector<CodeBE::GroupRequest> Reqs(
-      2, CodeBE::GroupRequest{&Src, nullptr, &Plan});
-  Model->setPrefixSharing(true);
-  std::vector<CodeBE::Decoded> Out = Model->generateGroup(Reqs);
-  ASSERT_EQ(Out.size(), 2u);
-  EXPECT_EQ(Out[0].Tokens, Out[1].Tokens);
-
-  Json Stats = parsed(Server.handleLine(R"({"id":2,"method":"stats"})"));
-  const Json *Result = Stats.get("result");
-  ASSERT_NE(Result, nullptr) << Stats.dump();
-  const Json *Counters = Result->get("counters");
-  ASSERT_NE(Counters, nullptr);
-  EXPECT_GE(Counters->getNumber("gen.prefix.hits", 0), 1.0) << Stats.dump();
-  const Json *Quantiles = Result->get("quantiles");
-  ASSERT_NE(Quantiles, nullptr);
-  const Json *Reuse = Quantiles->get("gen.prefix_reuse_tokens");
-  ASSERT_NE(Reuse, nullptr) << Stats.dump();
-  EXPECT_GE(Reuse->getNumber("count"), 1.0);
-}
-
 TEST(Serve, CoBatchedEightWayMatchesSoloBytes) {
   // Eight concurrent clients over three targets: every response must be
   // byte-identical to the sequential (solo) answer for the same request

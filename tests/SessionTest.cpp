@@ -238,32 +238,6 @@ TEST(SessionCheckpoint, LoadReportsMissingFileAsUnavailable) {
   EXPECT_EQ(R.status().code(), StatusCode::Unavailable);
 }
 
-TEST(SessionCheckpoint, ArtifactBytesIgnorePrecisionAndSharingKnobs) {
-  // --precision and --prefix-sharing are runtime knobs excluded from the
-  // options fingerprint. That exclusion is only sound if the artifact
-  // genuinely never records them: serializing the same session under
-  // every knob combination must produce byte-identical blobs (weights are
-  // always stored fp32; the int8 table is a derived cache).
-  const std::string &Ref = artifactBlob();
-  session().setPrecision(Precision::INT8);
-  session().setPrefixSharing(false);
-  StatusOr<std::string> Alt = SessionCheckpoint::serialize(session().system());
-  session().setPrecision(Precision::FP32);
-  session().setPrefixSharing(true);
-  ASSERT_TRUE(Alt.isOk()) << Alt.status().toString();
-  EXPECT_TRUE(Ref == *Alt) << "artifact bytes depend on a runtime knob";
-
-  // A reloaded artifact comes back at the defaults, whatever the writer's
-  // knobs were at save time.
-  const std::string Path = "session_test_knobs.vega";
-  ASSERT_TRUE(session().save(Path).isOk());
-  StatusOr<std::unique_ptr<VegaSession>> Loaded = VegaSession::load(Path);
-  std::remove(Path.c_str());
-  ASSERT_TRUE(Loaded.isOk());
-  EXPECT_EQ((*Loaded)->precision(), Precision::FP32);
-  EXPECT_TRUE((*Loaded)->prefixSharing());
-}
-
 TEST(SessionCheckpoint, HandleApiStepLoopMatchesGenerate) {
   // The redesigned Stage-3 entry point: beginGenerate/step/finish driven
   // serially must produce exactly the bytes generate() produces, the step

@@ -76,8 +76,6 @@ struct CliOptions {
   int TrainJobs = 0;
   bool JsonOut = false;
   std::string SessionPath;
-  Precision Prec = Precision::FP32;
-  bool PrefixSharing = true;
   eval::OracleKind Oracle = eval::OracleKind::Text;
 };
 CliOptions Cli;
@@ -237,10 +235,6 @@ StatusOr<VegaSession *> session(int Epochs) {
   }
   if (Cli.Jobs > 0)
     S->setJobs(Cli.Jobs);
-  // Runtime decode knobs apply identically to loaded and built sessions
-  // (training always runs fp32; these only shape Stage-3 inference).
-  S->setPrecision(Cli.Prec);
-  S->setPrefixSharing(Cli.PrefixSharing);
   return S.get();
 }
 
@@ -637,12 +631,6 @@ int main(int argc, char **argv) {
   Args.addOption("session", "file.vega",
                  "load (generate/evaluate/inspect) or write (build) a "
                  "session artifact");
-  Args.addOption("precision", "fp32|int8",
-                 "inference precision of the decode logit GEMM (default "
-                 "fp32; output is byte-deterministic per precision)");
-  Args.addOption("prefix-sharing", "on|off",
-                 "decode fast paths reusing shared KV prefixes (default on; "
-                 "byte-identical either way)");
   Args.addFlag("json", "emit generate/evaluate/repair/inspect results as JSON");
   Args.addOption("oracle", "text|differential|both",
                  "evaluate/repair: scoring oracle — text (curated regression "
@@ -712,21 +700,6 @@ int main(int argc, char **argv) {
   Cli.TrainJobs = Args.getInt("train-jobs", 0);
   Cli.JsonOut = Args.has("json");
   Cli.SessionPath = Args.get("session");
-  if (Args.has("precision")) {
-    std::optional<Precision> P = parsePrecision(Args.get("precision"));
-    if (!P)
-      return fail(Status::invalidArgument("unknown --precision '" +
-                                          Args.get("precision") +
-                                          "' (expected fp32 or int8)"));
-    Cli.Prec = *P;
-  }
-  if (Args.has("prefix-sharing")) {
-    const std::string &V = Args.get("prefix-sharing");
-    if (V != "on" && V != "off")
-      return fail(Status::invalidArgument("unknown --prefix-sharing '" + V +
-                                          "' (expected on or off)"));
-    Cli.PrefixSharing = V == "on";
-  }
   if (Args.has("oracle")) {
     std::optional<eval::OracleKind> Kind =
         eval::parseOracleKind(Args.get("oracle"));

@@ -50,17 +50,9 @@ int main(int argc, char **argv) {
   Args.addOption("socket", "path",
                  "listen on an AF_UNIX socket instead of stdio");
   Args.addOption("jobs", "N", "Stage-3 generation lanes (default: auto)");
-  Args.addOption("precision", "fp32|int8",
-                 "inference precision of the decode logit GEMM", "fp32");
-  Args.addOption("prefix-sharing", "on|off",
-                 "decode fast paths reusing shared KV prefixes (byte-"
-                 "identical either way)", "on");
   Args.addOption("window", "N",
                  "most generations decoding concurrently (the scheduler's "
                  "admission window)", "8");
-  Args.addOption("max-batch", "N",
-                 "deprecated alias for --window (kept for vega-serve-1 "
-                 "scripts)");
   Args.addOption("max-queue", "N",
                  "most requests waiting for admission before rejecting with "
                  "-32005 overloaded (0 = unbounded)", "64");
@@ -125,32 +117,15 @@ int main(int argc, char **argv) {
     obs::Logger::instance().setLevel(*Level);
   }
 
-  // One knob-application pass per loaded session (each local shard loads
-  // its own copy, so every shard gets the same precision/lane settings).
-  auto ConfigureSession = [&](VegaSession &Session) -> Status {
+  // Each local shard loads its own copy of the session, so every shard
+  // gets the same lane setting.
+  auto ConfigureSession = [&](VegaSession &Session) {
     if (Args.has("jobs"))
       Session.setJobs(Args.getInt("jobs", 0));
-    if (Args.has("precision")) {
-      std::optional<Precision> P = parsePrecision(Args.get("precision"));
-      if (!P)
-        return Status::invalidArgument("unknown --precision '" +
-                                       Args.get("precision") +
-                                       "' (expected fp32 or int8)");
-      Session.setPrecision(*P);
-    }
-    if (Args.has("prefix-sharing")) {
-      const std::string &V = Args.get("prefix-sharing");
-      if (V != "on" && V != "off")
-        return Status::invalidArgument("unknown --prefix-sharing '" + V +
-                                       "' (expected on or off)");
-      Session.setPrefixSharing(V == "on");
-    }
-    return Status::ok();
   };
 
   serve::ServerOptions Options;
-  Options.Window = Args.has("max-batch") ? Args.getInt("max-batch", 8)
-                                         : Args.getInt("window", 8);
+  Options.Window = Args.getInt("window", 8);
   Options.MaxQueue = Args.getInt("max-queue", 64);
   Options.SlowMs = std::atof(Args.get("slow-ms").c_str());
   Options.Verbose = Args.has("verbose");
@@ -169,10 +144,7 @@ int main(int argc, char **argv) {
                      Session.status().toString().c_str());
         return Session.status().toExitCode();
       }
-      if (Status St = ConfigureSession(**Session); !St.isOk()) {
-        std::fprintf(stderr, "vega-serve: %s\n", St.toString().c_str());
-        return St.toExitCode();
-      }
+      ConfigureSession(**Session);
       Endpoints.push_back(std::make_unique<serve::LocalShard>(
           "local" + std::to_string(I), std::move(Session.value()), Options));
     }
@@ -199,10 +171,7 @@ int main(int argc, char **argv) {
                    Session.status().toString().c_str());
       return Session.status().toExitCode();
     }
-    if (Status St = ConfigureSession(**Session); !St.isOk()) {
-      std::fprintf(stderr, "vega-serve: %s\n", St.toString().c_str());
-      return St.toExitCode();
-    }
+    ConfigureSession(**Session);
     if (Options.Verbose)
       std::fprintf(stderr, "vega-serve: session '%s' loaded, serving on %s\n",
                    Args.get("session").c_str(),
