@@ -8,12 +8,17 @@
 #include "BenchCommon.h"
 
 #include "forkflow/ForkFlow.h"
+#include "model/Autograd.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
+#include <sstream>
+#include <thread>
 
 using namespace vega;
 
@@ -107,4 +112,59 @@ vega::bench::forkflowEvaluation(const std::string &Target) {
   BackendEval Eval = evaluateBackend(FF, *corpus().backend(Target),
                                      *corpus().targets().find(Target));
   return Cache.emplace(Target, std::move(Eval)).first->second;
+}
+
+namespace {
+
+/// The value of the first /proc/cpuinfo line starting with \p Key.
+std::string cpuinfoField(const std::string &Key) {
+  std::ifstream In("/proc/cpuinfo");
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind(Key, 0) == 0) {
+      size_t Colon = Line.find(':');
+      if (Colon != std::string::npos && Colon + 2 <= Line.size())
+        return Line.substr(Colon + 2);
+    }
+  return "";
+}
+
+/// The commit of the checkout the bench runs in, with "-dirty" when it has
+/// uncommitted changes, or "unknown" outside one.
+std::string gitRevision() {
+  std::string Rev;
+  if (FILE *P = popen("git describe --always --dirty --abbrev=40 "
+                      "--exclude='*' 2>/dev/null",
+                      "r")) {
+    char Buf[128];
+    while (std::fgets(Buf, sizeof(Buf), P))
+      Rev += Buf;
+    pclose(P);
+  }
+  while (!Rev.empty() && (Rev.back() == '\n' || Rev.back() == '\r'))
+    Rev.pop_back();
+  return Rev.empty() ? "unknown" : Rev;
+}
+
+} // namespace
+
+Json vega::bench::hostInfo() {
+  Json Host = Json::object();
+  Host.set("nproc",
+           static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  std::string Model = cpuinfoField("model name");
+  Host.set("cpu", Model.empty() ? "unknown" : Model);
+  Json Flags = Json::array();
+  std::istringstream Present(cpuinfoField("flags"));
+  std::vector<std::string> Have;
+  for (std::string F; Present >> F;)
+    Have.push_back(F);
+  for (const char *F : {"sse4_2", "avx", "avx2", "fma", "avx512f"})
+    if (std::find(Have.begin(), Have.end(), F) != Have.end())
+      Flags.push(F);
+  Host.set("cpu_flags", std::move(Flags));
+  Host.set("compiler", VEGA_BENCH_COMPILER);
+  Host.set("build_type", VEGA_BENCH_BUILD_TYPE);
+  Host.set("git_sha", gitRevision());
+  Host.set("gemm_variant", detail::gemmVariant());
+  return Host;
 }

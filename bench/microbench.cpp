@@ -11,14 +11,17 @@
 /// numbers, not paper results.
 ///
 /// `microbench --inference-report=<file>.json` additionally measures the
-/// inference stack end to end (GEMM GFLOP/s, decode tokens/sec with the KV
-/// cache and with full recomputation, generateBackend wall time at
-/// --jobs=1/4 against the serial full-recompute baseline) and writes the
-/// numbers as JSON.
+/// inference stack end to end (GEMM GFLOP/s against the naive loop and at
+/// the shapes the workloads run, decode tokens/sec with the KV cache and
+/// with full recomputation, generateBackend wall time at --jobs=1/4 against
+/// the serial full-recompute baseline) and writes the numbers as JSON.
 ///
 /// `microbench --training-report=<file>.json` measures fine-tuning
 /// throughput (Trainer examples/sec at --train-jobs=1/4 on a synthetic
 /// copy task) plus the jobs-determinism cross-check, as JSON.
+///
+/// Both reports carry a `host` block (bench::hostInfo) saying where they
+/// were measured, including the GEMM kernel variant the loader picked.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -130,8 +133,9 @@ BENCHMARK(BM_CompileBenchmarkO3);
 
 // ---- Inference kernels --------------------------------------------------
 
-/// GEMM shapes from the decoder hot path: (dst rows × DModel) · (DModel ×
-/// FFDim), the largest matmul per decode step at the default config.
+/// The 48-row block the report's naive-vs-kernel comparison uses: (dst rows
+/// × DModel) · (DModel × FFDim), the largest matmul of a full-length
+/// decoder pass at the default config.
 constexpr int GemmM = 48, GemmK = 64, GemmN = 192;
 
 std::vector<float> randomMatrix(size_t N, uint64_t Seed) {
@@ -156,13 +160,47 @@ void naiveGemm(const float *A, const float *B, float *C, int M, int K,
     }
 }
 
+using GemmKernel = void (*)(const float *, const float *, float *, int, int,
+                            int);
+
+/// One kernel and the shape a workload calls it with.
+struct GemmCase {
+  const char *Kernel;
+  GemmKernel Fn;
+  int M, K, N;
+  const char *Use;
+};
+
+/// The shapes the workloads run: the one-row decode step (gemmAccum for the
+/// FF block, gemmNT for the vocabulary projection), the 48-row block of a
+/// full pass, and the two backward kernels of that block in training.
+const GemmCase GemmCases[] = {
+    {"gemmAccum", detail::gemmAccum, 1, 64, 192, "decode-step FF"},
+    {"gemmNT", detail::gemmNT, 1, 64, 4096, "decode-step vocab projection"},
+    {"gemmAccum", detail::gemmAccum, GemmM, GemmK, GemmN, "48-row FF block"},
+    {"gemmNT", detail::gemmNT, GemmM, GemmK, GemmN, "48-row A·Bᵀ block"},
+    {"gemmNTAccum", detail::gemmNTAccum, GemmM, GemmN, GemmK,
+     "FF block backward dA"},
+    {"gemmTNAccum", detail::gemmTNAccum, GemmM, GemmK, GemmN,
+     "FF block backward dB"},
+};
+
+/// Seeded operands large enough for any of the four kernels at M, K, N
+/// (B is K×N, N×K or M×N; C is M×N or K×N).
+struct GemmOperands {
+  std::vector<float> A, B, C;
+  GemmOperands(int M, int K, int N)
+      : A(randomMatrix(static_cast<size_t>(M) * K, 1)),
+        B(randomMatrix(static_cast<size_t>(std::max(K, M)) * N, 2)),
+        C(static_cast<size_t>(std::max(M, K)) * N, 0.0f) {}
+};
+
 void BM_GemmNaive(benchmark::State &State) {
-  std::vector<float> A = randomMatrix(GemmM * GemmK, 1);
-  std::vector<float> B = randomMatrix(GemmK * GemmN, 2);
-  std::vector<float> C(GemmM * GemmN, 0.0f);
+  GemmOperands Ops(GemmM, GemmK, GemmN);
   for (auto _ : State) {
-    naiveGemm(A.data(), B.data(), C.data(), GemmM, GemmK, GemmN);
-    benchmark::DoNotOptimize(C.data());
+    naiveGemm(Ops.A.data(), Ops.B.data(), Ops.C.data(), GemmM, GemmK, GemmN);
+    benchmark::DoNotOptimize(Ops.C.data());
+    benchmark::ClobberMemory();
   }
   State.counters["GFLOPS"] = benchmark::Counter(
       2.0 * GemmM * GemmK * GemmN * 1e-9,
@@ -170,33 +208,23 @@ void BM_GemmNaive(benchmark::State &State) {
 }
 BENCHMARK(BM_GemmNaive);
 
-void BM_GemmBlocked(benchmark::State &State) {
-  std::vector<float> A = randomMatrix(GemmM * GemmK, 1);
-  std::vector<float> B = randomMatrix(GemmK * GemmN, 2);
-  std::vector<float> C(GemmM * GemmN, 0.0f);
+void BM_Gemm(benchmark::State &State, const GemmCase &Case) {
+  GemmOperands Ops(Case.M, Case.K, Case.N);
   for (auto _ : State) {
-    detail::gemmAccum(A.data(), B.data(), C.data(), GemmM, GemmK, GemmN);
-    benchmark::DoNotOptimize(C.data());
+    Case.Fn(Ops.A.data(), Ops.B.data(), Ops.C.data(), Case.M, Case.K, Case.N);
+    benchmark::DoNotOptimize(Ops.C.data());
+    benchmark::ClobberMemory();
   }
   State.counters["GFLOPS"] = benchmark::Counter(
-      2.0 * GemmM * GemmK * GemmN * 1e-9,
+      2.0 * Case.M * Case.K * Case.N * 1e-9,
       benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_GemmBlocked);
-
-void BM_GemmNTFp32(benchmark::State &State) {
-  std::vector<float> A = randomMatrix(GemmM * GemmK, 1);
-  std::vector<float> B = randomMatrix(GemmN * GemmK, 2);
-  std::vector<float> C(GemmM * GemmN, 0.0f);
-  for (auto _ : State) {
-    detail::gemmNT(A.data(), B.data(), C.data(), GemmM, GemmK, GemmN);
-    benchmark::DoNotOptimize(C.data());
-  }
-  State.counters["GFLOPS"] = benchmark::Counter(
-      2.0 * GemmM * GemmK * GemmN * 1e-9,
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_GemmNTFp32);
+BENCHMARK_CAPTURE(BM_Gemm, accum_1x64x192, GemmCases[0]);
+BENCHMARK_CAPTURE(BM_Gemm, nt_1x64x4096, GemmCases[1]);
+BENCHMARK_CAPTURE(BM_Gemm, accum_48x64x192, GemmCases[2]);
+BENCHMARK_CAPTURE(BM_Gemm, nt_48x64x192, GemmCases[3]);
+BENCHMARK_CAPTURE(BM_Gemm, ntaccum_48x192x64, GemmCases[4]);
+BENCHMARK_CAPTURE(BM_Gemm, tnaccum_48x64x192, GemmCases[5]);
 
 /// A synthetic decode workload: an untrained (but deterministically seeded)
 /// CodeBE plus a 40-step decode plan that pins one admissible token per
@@ -368,20 +396,46 @@ double timeGenerateBackend(VegaSystem &Sys, CodeBE::DecodeMode Mode,
   return secondsSince(T0);
 }
 
+/// Writes \p Doc to \p Path; returns the process exit code.
+int writeReport(const std::string &Path, const Json &Doc) {
+  std::ofstream Out(Path);
+  if (!Out || !(Out << Doc.dump(2) << '\n')) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "wrote %s\n", Path.c_str());
+  return 0;
+}
+
 int writeInferenceReport(const std::string &Path) {
   std::fprintf(stderr, "measuring GEMM kernels...\n");
-  std::vector<float> A = randomMatrix(GemmM * GemmK, 1);
-  std::vector<float> B = randomMatrix(GemmK * GemmN, 2);
-  std::vector<float> C(GemmM * GemmN, 0.0f);
+  GemmOperands Ops(GemmM, GemmK, GemmN);
   const double Flops = 2.0 * GemmM * GemmK * GemmN;
   double NaiveGflops = measureGflops(Flops, [&] {
-    naiveGemm(A.data(), B.data(), C.data(), GemmM, GemmK, GemmN);
-    benchmark::DoNotOptimize(C.data());
+    naiveGemm(Ops.A.data(), Ops.B.data(), Ops.C.data(), GemmM, GemmK, GemmN);
+    benchmark::DoNotOptimize(Ops.C.data());
   });
-  double BlockedGflops = measureGflops(Flops, [&] {
-    detail::gemmAccum(A.data(), B.data(), C.data(), GemmM, GemmK, GemmN);
-    benchmark::DoNotOptimize(C.data());
+  double KernelGflops = measureGflops(Flops, [&] {
+    detail::gemmAccum(Ops.A.data(), Ops.B.data(), Ops.C.data(), GemmM, GemmK,
+                      GemmN);
+    benchmark::DoNotOptimize(Ops.C.data());
   });
+  Json Kernels = Json::array();
+  for (const GemmCase &Case : GemmCases) {
+    GemmOperands CaseOps(Case.M, Case.K, Case.N);
+    Json K = Json::object();
+    K.set("kernel", Case.Kernel);
+    K.set("use", Case.Use);
+    K.set("m", Case.M);
+    K.set("k", Case.K);
+    K.set("n", Case.N);
+    K.set("gflops", measureGflops(2.0 * Case.M * Case.K * Case.N, [&] {
+            Case.Fn(CaseOps.A.data(), CaseOps.B.data(), CaseOps.C.data(),
+                    Case.M, Case.K, Case.N);
+            benchmark::DoNotOptimize(CaseOps.C.data());
+          }));
+    Kernels.push(std::move(K));
+  }
 
   std::fprintf(stderr, "measuring decode throughput...\n");
   double FullTps = measureDecodeTokensPerSec(CodeBE::DecodeMode::FullRecompute);
@@ -390,8 +444,8 @@ int writeInferenceReport(const std::string &Path) {
   std::fprintf(stderr, "measuring end-to-end generateBackend...\n");
   VegaSystem &Sys = bench::system();
   // Baseline = what Stage 3 did before this engine existed: serial decode
-  // with full prefix recomputation (the blocked kernels are the same code
-  // in both paths, so the end-to-end ratio isolates KV cache + pool).
+  // with full prefix recomputation (the GEMM kernels are the same code in
+  // both paths, so the end-to-end ratio isolates KV cache + pool).
   // The three configurations are timed round-robin and each keeps its
   // minimum: interleaving spreads slow machine phases across all three
   // instead of landing one phase on a single configuration, and the
@@ -409,45 +463,34 @@ int writeInferenceReport(const std::string &Path) {
       Jobs4Sec = J4;
   }
 
-  char Buf[2048];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      "{\n"
-      "  \"schema\": \"vega-inference-bench-3\",\n"
-      "  \"gemm\": {\n"
-      "    \"m\": %d, \"k\": %d, \"n\": %d,\n"
-      "    \"naive_gflops\": %.4f,\n"
-      "    \"blocked_gflops\": %.4f,\n"
-      "    \"speedup\": %.3f\n"
-      "  },\n"
-      "  \"decode\": {\n"
-      "    \"tokens\": %d,\n"
-      "    \"full_recompute_tokens_per_sec\": %.2f,\n"
-      "    \"kv_cache_tokens_per_sec\": %.2f,\n"
-      "    \"speedup\": %.3f\n"
-      "  },\n"
-      "  \"generate_backend\": {\n"
-      "    \"target\": \"RISCV\",\n"
-      "    \"baseline_serial_full_recompute_sec\": %.4f,\n"
-      "    \"jobs1_sec\": %.4f,\n"
-      "    \"jobs4_sec\": %.4f,\n"
-      "    \"speedup_jobs1_vs_baseline\": %.3f,\n"
-      "    \"speedup_jobs4_vs_baseline\": %.3f\n"
-      "  }\n"
-      "}\n",
-      GemmM, GemmK, GemmN, NaiveGflops, BlockedGflops,
-      BlockedGflops / NaiveGflops, DecodeFixture::instance().Tokens, FullTps,
-      KVTps, KVTps / FullTps, BaselineSec, Jobs1Sec, Jobs4Sec,
-      BaselineSec / Jobs1Sec, BaselineSec / Jobs4Sec);
-
-  std::ofstream Out(Path);
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
-    return 1;
-  }
-  Out << Buf;
-  std::fprintf(stderr, "wrote %s\n", Path.c_str());
-  return 0;
+  Json Doc = Json::object();
+  Doc.set("schema", "vega-inference-bench-4");
+  Doc.set("host", bench::hostInfo());
+  Json Gemm = Json::object();
+  Gemm.set("m", GemmM);
+  Gemm.set("k", GemmK);
+  Gemm.set("n", GemmN);
+  Gemm.set("naive_gflops", NaiveGflops);
+  Gemm.set("kernel_gflops", KernelGflops);
+  Gemm.set("speedup", KernelGflops / NaiveGflops);
+  Doc.set("gemm", std::move(Gemm));
+  Doc.set("kernels", std::move(Kernels));
+  Json Decode = Json::object();
+  Decode.set("tokens", DecodeFixture::instance().Tokens);
+  Decode.set("full_recompute_tokens_per_sec", FullTps);
+  Decode.set("kv_cache_tokens_per_sec", KVTps);
+  Decode.set("speedup", KVTps / FullTps);
+  Doc.set("decode", std::move(Decode));
+  Json Gen = Json::object();
+  Gen.set("target", "RISCV");
+  Gen.set("epochs", bench::defaultEpochs());
+  Gen.set("baseline_serial_full_recompute_sec", BaselineSec);
+  Gen.set("jobs1_sec", Jobs1Sec);
+  Gen.set("jobs4_sec", Jobs4Sec);
+  Gen.set("speedup_jobs1_vs_baseline", BaselineSec / Jobs1Sec);
+  Gen.set("speedup_jobs4_vs_baseline", BaselineSec / Jobs4Sec);
+  Doc.set("generate_backend", std::move(Gen));
+  return writeReport(Path, Doc);
 }
 
 // ---- --training-report=<file>.json --------------------------------------
@@ -472,32 +515,19 @@ int writeTrainingReport(const std::string &Path) {
       !Weights1.empty() && Weights1 == Weights4 &&
       fnv1a(Weights1) == fnv1a(Weights4);
 
-  char Buf[1024];
-  std::snprintf(Buf, sizeof(Buf),
-                "{\n"
-                "  \"schema\": \"vega-training-bench-1\",\n"
-                "  \"train\": {\n"
-                "    \"examples\": %zu,\n"
-                "    \"epochs\": %d,\n"
-                "    \"batch_size\": %d,\n"
-                "    \"jobs1_examples_per_sec\": %.2f,\n"
-                "    \"jobs4_examples_per_sec\": %.2f,\n"
-                "    \"speedup_jobs4_vs_jobs1\": %.3f,\n"
-                "    \"weights_identical_jobs1_vs_jobs4\": %s\n"
-                "  }\n"
-                "}\n",
-                F.Data.size(), F.C.Epochs, F.C.BatchSize, Jobs1Rate,
-                Jobs4Rate, Jobs4Rate / Jobs1Rate,
-                WeightsIdentical ? "true" : "false");
-
-  std::ofstream Out(Path);
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
-    return 1;
-  }
-  Out << Buf;
-  std::fprintf(stderr, "wrote %s\n", Path.c_str());
-  return 0;
+  Json Doc = Json::object();
+  Doc.set("schema", "vega-training-bench-2");
+  Doc.set("host", bench::hostInfo());
+  Json Train = Json::object();
+  Train.set("examples", static_cast<uint64_t>(F.Data.size()));
+  Train.set("epochs", F.C.Epochs);
+  Train.set("batch_size", F.C.BatchSize);
+  Train.set("jobs1_examples_per_sec", Jobs1Rate);
+  Train.set("jobs4_examples_per_sec", Jobs4Rate);
+  Train.set("speedup_jobs4_vs_jobs1", Jobs4Rate / Jobs1Rate);
+  Train.set("weights_identical_jobs1_vs_jobs4", WeightsIdentical);
+  Doc.set("train", std::move(Train));
+  return writeReport(Path, Doc);
 }
 
 } // namespace

@@ -81,23 +81,27 @@ namespace {
 
 thread_local int NoGradDepth = 0;
 
-TensorPtr makeResult(int Rows, int Cols,
-                     std::initializer_list<TensorPtr> Parents) {
+TensorPtr makeResult(int Rows, int Cols, const TensorPtr *First,
+                     const TensorPtr *Last) {
   // Under a NoGradGuard the result is a plain value: no parent links (so
   // intermediates die with their last reference) and RequiresGrad=false
   // (so the op skips allocating its backward closure).
   if (NoGradDepth > 0)
     return makeTensor(Rows, Cols, /*RequiresGrad=*/false);
   bool NeedsGrad = false;
-  for (const TensorPtr &P : Parents)
-    if (P->RequiresGrad || P->Backward)
+  for (const TensorPtr *P = First; P != Last; ++P)
+    if ((*P)->RequiresGrad || (*P)->Backward)
       NeedsGrad = true;
   // Grad buffers stay unallocated here; backward() materializes them for
   // the tapes it actually walks, so inference never pays for them.
   TensorPtr Out = makeTensor(Rows, Cols, NeedsGrad);
-  for (const TensorPtr &P : Parents)
-    Out->Parents.push_back(P);
+  Out->Parents.assign(First, Last);
   return Out;
+}
+
+TensorPtr makeResult(int Rows, int Cols,
+                     std::initializer_list<TensorPtr> Parents) {
+  return makeResult(Rows, Cols, Parents.begin(), Parents.end());
 }
 
 } // namespace
@@ -106,187 +110,307 @@ NoGradGuard::NoGradGuard() { ++NoGradDepth; }
 NoGradGuard::~NoGradGuard() { --NoGradDepth; }
 bool NoGradGuard::active() { return NoGradDepth > 0; }
 
+// ---- GEMM kernels --------------------------------------------------------
+//
+// The kernels vectorize across independent output columns, eight at a time,
+// and never across the inner (reduction) index: every element of C still
+// runs its own chain c = fl(c + fl(a·b)) in ascending inner index, exactly
+// as the naive triple loop does. The product is always rounded before the
+// add (no FMA: a fused multiply-add rounds once and would change every
+// output), so any column split, row blocking or instruction set gives the
+// same bytes. Column and inner-index remainders run the same chains, in
+// scalar code or in spare vector lanes whose results are never stored.
+//
+// One source builds two variants: an AVX2 one (without FMA) and an x86-64
+// baseline one, where each 8-wide vector op lowers to two SSE ops. The
+// dynamic loader picks one once, through the target_clones ifunc resolver.
+
+namespace {
+
+using V8 = float __attribute__((vector_size(32)));
+// Unaligned views used for every vector load and store.
+using V8u = float __attribute__((vector_size(32), aligned(4), may_alias));
+using V4u = float __attribute__((vector_size(16), aligned(4), may_alias));
+
+#if defined(__x86_64__)
+#define VEGA_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define VEGA_KERNEL_CLONES
+#endif
+
+// The helpers below are force-inlined into each variant and take or return
+// vectors only through pointers and references, never by value, so the
+// baseline variant has no AVX-dependent ABI.
+
+[[gnu::always_inline]] inline const V8u *vec8(const float *P) {
+  return reinterpret_cast<const V8u *>(P);
+}
+[[gnu::always_inline]] inline V8u *vec8(float *P) {
+  return reinterpret_cast<V8u *>(P);
+}
+[[gnu::always_inline]] inline const V4u *vec4(const float *P) {
+  return reinterpret_cast<const V4u *>(P);
+}
+
+/// In-lane 4×4 transpose of Z0..Z3 into T[0..3] (both 128-bit lanes at once).
+[[gnu::always_inline]] inline void
+transposeLanes(const V8 &Z0, const V8 &Z1, const V8 &Z2, const V8 &Z3,
+               V8 *T) {
+  V8 S0 = __builtin_shufflevector(Z0, Z1, 0, 8, 1, 9, 4, 12, 5, 13);
+  V8 S1 = __builtin_shufflevector(Z0, Z1, 2, 10, 3, 11, 6, 14, 7, 15);
+  V8 S2 = __builtin_shufflevector(Z2, Z3, 0, 8, 1, 9, 4, 12, 5, 13);
+  V8 S3 = __builtin_shufflevector(Z2, Z3, 2, 10, 3, 11, 6, 14, 7, 15);
+  T[0] = __builtin_shufflevector(S0, S2, 0, 1, 8, 9, 4, 5, 12, 13);
+  T[1] = __builtin_shufflevector(S0, S2, 2, 3, 10, 11, 6, 7, 14, 15);
+  T[2] = __builtin_shufflevector(S1, S3, 0, 1, 8, 9, 4, 5, 12, 13);
+  T[3] = __builtin_shufflevector(S1, S3, 2, 3, 10, 11, 6, 7, 14, 15);
+}
+
+/// Transposes the 8×8 tile at \p B (row stride \p Stride) in registers:
+/// T[p][j] = B[j·Stride + p].
+[[gnu::always_inline]] inline void transposeTile(const float *B,
+                                                 size_t Stride, V8 (&T)[8]) {
+  // Lane 0 of X[j]/Y[j] holds row j, lane 1 holds row j+4.
+  V8 X[4], Y[4];
+#pragma GCC unroll 4
+  for (int J = 0; J < 4; ++J) {
+    const float *Lo = B + J * Stride, *Hi = Lo + 4 * Stride;
+    X[J] = __builtin_shufflevector(*vec4(Lo), *vec4(Hi), 0, 1, 2, 3, 4, 5, 6,
+                                   7);
+    Y[J] = __builtin_shufflevector(*vec4(Lo + 4), *vec4(Hi + 4), 0, 1, 2, 3,
+                                   4, 5, 6, 7);
+  }
+  transposeLanes(X[0], X[1], X[2], X[3], T);
+  transposeLanes(Y[0], Y[1], Y[2], Y[3], T + 4);
+}
+
+/// How a tile's chains start and end: from C and stored back (the C += A·B
+/// kernels), or from +0.0f and then stored (gemmNT) or added to C once
+/// (gemmNTAccum).
+enum class Chain { FromC, FromZero, FromZeroAddToC };
+
+/// Runs the chains of an RM×(8·NV) block of C (row stride \p CStride):
+///   c[r][j] = fl(c[r][j] + fl(a(r, p) · B[p·BStride + j]))  for p < K,
+/// with a(r, p) = A[r·ARow + p·AInner]. With SkipZeros a zero a(r, p) skips
+/// its step for row r, so no 0·x product is ever formed (x may be inf).
+template <int RM, int NV, bool SkipZeros, Chain Mode>
+[[gnu::always_inline]] inline void
+chainTile(const float *A, size_t ARow, size_t AInner, const float *B,
+          size_t BStride, int K, float *C, size_t CStride) {
+  V8 Acc[RM][NV];
+#pragma GCC unroll 8
+  for (int R = 0; R < RM; ++R)
+#pragma GCC unroll 8
+    for (int V = 0; V < NV; ++V)
+      Acc[R][V] = Mode == Chain::FromC ? *vec8(C + R * CStride + 8 * V) : V8{};
+  for (int P = 0; P < K; ++P) {
+    const float *BP = B + static_cast<size_t>(P) * BStride;
+#pragma GCC unroll 8
+    for (int R = 0; R < RM; ++R) {
+      float AV = A[R * ARow + static_cast<size_t>(P) * AInner];
+      if (SkipZeros && AV == 0.0f)
+        continue;
+#pragma GCC unroll 8
+      for (int V = 0; V < NV; ++V)
+        Acc[R][V] += AV * *vec8(BP + 8 * V);
+    }
+  }
+#pragma GCC unroll 8
+  for (int R = 0; R < RM; ++R)
+#pragma GCC unroll 8
+    for (int V = 0; V < NV; ++V) {
+      float *Out = C + R * CStride + 8 * V;
+      *vec8(Out) = Mode == Chain::FromZeroAddToC ? *vec8(Out) + Acc[R][V]
+                                                  : Acc[R][V];
+    }
+}
+
+/// C += A·B over the skip-aware chains, one row of C at a time: C is M×N,
+/// B is K×N and a(r, p) = A[r·ARow + p·AInner]. Shared by gemmAccum
+/// (A row-major) and gemmTNAccum (A read transposed).
+[[gnu::always_inline]] inline void accumRows(const float *A, size_t ARow,
+                                             size_t AInner, const float *B,
+                                             float *C, int M, int K, int N) {
+  const size_t NS = static_cast<size_t>(N);
+  for (int I = 0; I < M; ++I) {
+    const float *AI = A + static_cast<size_t>(I) * ARow;
+    float *CI = C + static_cast<size_t>(I) * NS;
+    int J = 0;
+    for (; J + 64 <= N; J += 64)
+      chainTile<1, 8, true, Chain::FromC>(AI, 0, AInner, B + J, NS, K, CI + J,
+                                          0);
+    for (; J + 16 <= N; J += 16)
+      chainTile<1, 2, true, Chain::FromC>(AI, 0, AInner, B + J, NS, K, CI + J,
+                                          0);
+    for (; J + 8 <= N; J += 8)
+      chainTile<1, 1, true, Chain::FromC>(AI, 0, AInner, B + J, NS, K, CI + J,
+                                          0);
+    if (J == N)
+      continue;
+    for (int P = 0; P < K; ++P) {
+      float AV = AI[static_cast<size_t>(P) * AInner];
+      if (AV == 0.0f)
+        continue;
+      const float *BP = B + static_cast<size_t>(P) * NS;
+      for (int T = J; T < N; ++T)
+        CI[T] += AV * BP[T];
+    }
+  }
+}
+
+/// The chains of C[0, 0..8·NB) for one row \p A of gemmNT, with B (row
+/// stride \p KS) transposed 8×8 in registers as the chains consume it.
+template <int NB, bool AddToC>
+[[gnu::always_inline]] inline void
+transposedTile(const float *A, const float *B, size_t KS, int K, float *C) {
+  V8 Acc[NB] = {};
+  int P = 0;
+  for (; P + 8 <= K; P += 8)
+#pragma GCC unroll 2
+    for (int Blk = 0; Blk < NB; ++Blk) {
+      V8 T[8];
+      transposeTile(B + Blk * 8 * KS + P, KS, T);
+#pragma GCC unroll 8
+      for (int Q = 0; Q < 8; ++Q)
+        Acc[Blk] += A[P + Q] * T[Q];
+    }
+  for (; P < K; ++P)
+#pragma GCC unroll 2
+    for (int Blk = 0; Blk < NB; ++Blk) {
+      const float *BP = B + Blk * 8 * KS + P;
+      V8 Col = {BP[0],      BP[KS],     BP[2 * KS], BP[3 * KS],
+                BP[4 * KS], BP[5 * KS], BP[6 * KS], BP[7 * KS]};
+      Acc[Blk] += A[P] * Col;
+    }
+#pragma GCC unroll 2
+  for (int Blk = 0; Blk < NB; ++Blk) {
+    float *Out = C + 8 * Blk;
+    *vec8(Out) = AddToC ? *vec8(Out) + Acc[Blk] : Acc[Blk];
+  }
+}
+
+/// Per-thread gemmNT scratch: the packed K×8 panel and, for the last
+/// N % 8 columns, their 8-wide output rows.
+thread_local std::vector<float> NTPanel, NTTailC;
+
+/// Streams the packed K×8 \p Panel through every row block of A (row
+/// stride \p KS): Out[i][0..8) for i < M, row stride \p OutStride.
+template <Chain Mode>
+[[gnu::always_inline]] inline void panelRows(const float *A, size_t KS,
+                                             int M, int K, const float *Panel,
+                                             float *Out, size_t OutStride) {
+  int I = 0;
+  for (; I + 8 <= M; I += 8)
+    chainTile<8, 1, false, Mode>(A + I * KS, KS, 1, Panel, 8, K,
+                                 Out + I * OutStride, OutStride);
+  for (; I + 4 <= M; I += 4)
+    chainTile<4, 1, false, Mode>(A + I * KS, KS, 1, Panel, 8, K,
+                                 Out + I * OutStride, OutStride);
+  for (; I < M; ++I)
+    chainTile<1, 1, false, Mode>(A + I * KS, KS, 1, Panel, 8, K,
+                                 Out + I * OutStride, OutStride);
+}
+
+/// C = A·Bᵀ (or C += A·Bᵀ with AddToC); every chain starts at +0.0f.
+template <bool AddToC>
+[[gnu::always_inline]] inline void gemmNTImpl(const float *A, const float *B,
+                                              float *C, int M, int K, int N) {
+  constexpr Chain Mode = AddToC ? Chain::FromZeroAddToC : Chain::FromZero;
+  const size_t KS = static_cast<size_t>(K), NS = static_cast<size_t>(N);
+  const int NFull = N - N % 8, Rem = N - NFull;
+  if (M >= 8) {
+    // Packed panel: each 8-row strip of B is transposed once into a K×8
+    // panel and reused by every row of A.
+    NTPanel.resize(8 * KS);
+    float *Panel = NTPanel.data();
+    for (int J = 0; J < NFull; J += 8) {
+      const float *BJ = B + J * KS;
+      int P = 0;
+      for (; P + 8 <= K; P += 8) {
+        V8 T[8];
+        transposeTile(BJ + P, KS, T);
+#pragma GCC unroll 8
+        for (int Q = 0; Q < 8; ++Q)
+          *vec8(Panel + (P + Q) * 8) = T[Q];
+      }
+      for (; P < K; ++P)
+        for (int Q = 0; Q < 8; ++Q)
+          Panel[P * 8 + Q] = BJ[Q * KS + P];
+      panelRows<Mode>(A, KS, M, K, Panel, C + J, NS);
+    }
+    if (Rem > 0) {
+      // The last N % 8 columns run as one more panel whose spare lanes are
+      // zero; those lanes' chains are never stored.
+      for (int P = 0; P < K; ++P)
+        for (int Q = 0; Q < 8; ++Q)
+          Panel[P * 8 + Q] = Q < Rem ? B[(NFull + Q) * KS + P] : 0.0f;
+      NTTailC.resize(static_cast<size_t>(M) * 8);
+      panelRows<Chain::FromZero>(A, KS, M, K, Panel, NTTailC.data(), 8);
+      for (int I = 0; I < M; ++I)
+        for (int Q = 0; Q < Rem; ++Q) {
+          float &Out = C[I * NS + NFull + Q];
+          const float Acc = NTTailC[I * 8 + Q];
+          Out = AddToC ? Out + Acc : Acc;
+        }
+    }
+    return;
+  }
+  // Few rows (M = 1 is the decode step): packing would cost more than it
+  // saves, so transpose 8×8 tiles of B in registers, two column blocks at a
+  // time for two independent chains. The last N % 8 columns run scalar.
+  for (int I = 0; I < M; ++I) {
+    const float *AI = A + I * KS;
+    float *CI = C + I * NS;
+    int J = 0;
+    for (; J + 16 <= NFull; J += 16)
+      transposedTile<2, AddToC>(AI, B + J * KS, KS, K, CI + J);
+    for (; J < NFull; J += 8)
+      transposedTile<1, AddToC>(AI, B + J * KS, KS, K, CI + J);
+    for (; J < N; ++J) {
+      const float *BJ = B + J * KS;
+      float Acc = 0.0f;
+      for (int P = 0; P < K; ++P)
+        Acc += AI[P] * BJ[P];
+      CI[J] = AddToC ? CI[J] + Acc : Acc;
+    }
+  }
+}
+
+} // namespace
+
+VEGA_KERNEL_CLONES
 void vega::detail::gemmAccum(const float *A, const float *B, float *C, int M,
                              int K, int N) {
-  for (int I = 0; I < M; ++I) {
-    const float *ARow = A + static_cast<size_t>(I) * K;
-    float *CRow = C + static_cast<size_t>(I) * N;
-    int P = 0;
-    for (; P + 4 <= K; P += 4) {
-      float A0 = ARow[P], A1 = ARow[P + 1], A2 = ARow[P + 2],
-            A3 = ARow[P + 3];
-      if (A0 != 0.0f && A1 != 0.0f && A2 != 0.0f && A3 != 0.0f) {
-        const float *B0 = B + static_cast<size_t>(P) * N;
-        const float *B1 = B0 + N, *B2 = B1 + N, *B3 = B2 + N;
-        for (int J = 0; J < N; ++J) {
-          float Acc = CRow[J];
-          Acc += A0 * B0[J];
-          Acc += A1 * B1[J];
-          Acc += A2 * B2[J];
-          Acc += A3 * B3[J];
-          CRow[J] = Acc;
-        }
-      } else {
-        // Mixed zero/non-zero rank-4 block: keep the skip-aware scalar
-        // schedule so 0·x products are never formed (x may be inf/NaN).
-        for (int T = 0; T < 4; ++T) {
-          float AV = ARow[P + T];
-          if (AV == 0.0f)
-            continue;
-          const float *BRow = B + static_cast<size_t>(P + T) * N;
-          for (int J = 0; J < N; ++J)
-            CRow[J] += AV * BRow[J];
-        }
-      }
-    }
-    for (; P < K; ++P) {
-      float AV = ARow[P];
-      if (AV == 0.0f)
-        continue;
-      const float *BRow = B + static_cast<size_t>(P) * N;
-      for (int J = 0; J < N; ++J)
-        CRow[J] += AV * BRow[J];
-    }
-  }
+  accumRows(A, static_cast<size_t>(K), 1, B, C, M, K, N);
 }
 
+VEGA_KERNEL_CLONES
 void vega::detail::gemmNT(const float *A, const float *B, float *C, int M,
                           int K, int N) {
-  constexpr int JT = 4;
-  int J = 0;
-  if (M >= 8 && N >= JT) {
-    // Packed panel path: interleave a 4-row B panel once and stream it for
-    // every row of A, turning four strided operand streams into one.
-    thread_local std::vector<float> Packed;
-    Packed.resize(static_cast<size_t>(JT) * K);
-    for (; J + JT <= N; J += JT) {
-      const float *B0 = B + static_cast<size_t>(J) * K;
-      const float *B1 = B0 + K, *B2 = B1 + K, *B3 = B2 + K;
-      for (int P = 0; P < K; ++P) {
-        Packed[static_cast<size_t>(P) * JT + 0] = B0[P];
-        Packed[static_cast<size_t>(P) * JT + 1] = B1[P];
-        Packed[static_cast<size_t>(P) * JT + 2] = B2[P];
-        Packed[static_cast<size_t>(P) * JT + 3] = B3[P];
-      }
-      for (int I = 0; I < M; ++I) {
-        const float *ARow = A + static_cast<size_t>(I) * K;
-        const float *Pk = Packed.data();
-        float C0 = 0.0f, C1 = 0.0f, C2 = 0.0f, C3 = 0.0f;
-        for (int P = 0; P < K; ++P) {
-          float AV = ARow[P];
-          C0 += AV * Pk[0];
-          C1 += AV * Pk[1];
-          C2 += AV * Pk[2];
-          C3 += AV * Pk[3];
-          Pk += JT;
-        }
-        float *CRow = C + static_cast<size_t>(I) * N;
-        CRow[J] = C0;
-        CRow[J + 1] = C1;
-        CRow[J + 2] = C2;
-        CRow[J + 3] = C3;
-      }
-    }
-  } else {
-    for (; J + JT <= N; J += JT) {
-      const float *B0 = B + static_cast<size_t>(J) * K;
-      const float *B1 = B0 + K, *B2 = B1 + K, *B3 = B2 + K;
-      for (int I = 0; I < M; ++I) {
-        const float *ARow = A + static_cast<size_t>(I) * K;
-        float C0 = 0.0f, C1 = 0.0f, C2 = 0.0f, C3 = 0.0f;
-        for (int P = 0; P < K; ++P) {
-          float AV = ARow[P];
-          C0 += AV * B0[P];
-          C1 += AV * B1[P];
-          C2 += AV * B2[P];
-          C3 += AV * B3[P];
-        }
-        float *CRow = C + static_cast<size_t>(I) * N;
-        CRow[J] = C0;
-        CRow[J + 1] = C1;
-        CRow[J + 2] = C2;
-        CRow[J + 3] = C3;
-      }
-    }
-  }
-  for (; J < N; ++J) {
-    const float *BRow = B + static_cast<size_t>(J) * K;
-    for (int I = 0; I < M; ++I) {
-      const float *ARow = A + static_cast<size_t>(I) * K;
-      float Acc = 0.0f;
-      for (int P = 0; P < K; ++P)
-        Acc += ARow[P] * BRow[P];
-      C[static_cast<size_t>(I) * N + J] = Acc;
-    }
-  }
+  gemmNTImpl<false>(A, B, C, M, K, N);
 }
 
+VEGA_KERNEL_CLONES
 void vega::detail::gemmNTAccum(const float *A, const float *B, float *C,
                                int M, int K, int N) {
-  constexpr int JT = 4;
-  for (int I = 0; I < M; ++I) {
-    const float *ARow = A + static_cast<size_t>(I) * K;
-    float *CRow = C + static_cast<size_t>(I) * N;
-    int J = 0;
-    for (; J + JT <= N; J += JT) {
-      const float *B0 = B + static_cast<size_t>(J) * K;
-      const float *B1 = B0 + K, *B2 = B1 + K, *B3 = B2 + K;
-      float C0 = 0.0f, C1 = 0.0f, C2 = 0.0f, C3 = 0.0f;
-      for (int P = 0; P < K; ++P) {
-        float AV = ARow[P];
-        C0 += AV * B0[P];
-        C1 += AV * B1[P];
-        C2 += AV * B2[P];
-        C3 += AV * B3[P];
-      }
-      CRow[J] += C0;
-      CRow[J + 1] += C1;
-      CRow[J + 2] += C2;
-      CRow[J + 3] += C3;
-    }
-    for (; J < N; ++J) {
-      const float *BRow = B + static_cast<size_t>(J) * K;
-      float Acc = 0.0f;
-      for (int P = 0; P < K; ++P)
-        Acc += ARow[P] * BRow[P];
-      CRow[J] += Acc;
-    }
-  }
+  gemmNTImpl<true>(A, B, C, M, K, N);
 }
 
+VEGA_KERNEL_CLONES
 void vega::detail::gemmTNAccum(const float *A, const float *G, float *C,
                                int M, int K, int N) {
-  for (int I = 0; I < M; ++I) {
-    const float *ARow = A + static_cast<size_t>(I) * K;
-    const float *GRow = G + static_cast<size_t>(I) * N;
-    int P = 0;
-    for (; P + 2 <= K; P += 2) {
-      float A0 = ARow[P], A1 = ARow[P + 1];
-      float *C0 = C + static_cast<size_t>(P) * N;
-      float *C1 = C0 + N;
-      if (A0 != 0.0f && A1 != 0.0f) {
-        for (int J = 0; J < N; ++J) {
-          C0[J] += A0 * GRow[J];
-          C1[J] += A1 * GRow[J];
-        }
-      } else {
-        if (A0 != 0.0f)
-          for (int J = 0; J < N; ++J)
-            C0[J] += A0 * GRow[J];
-        if (A1 != 0.0f)
-          for (int J = 0; J < N; ++J)
-            C1[J] += A1 * GRow[J];
-      }
-    }
-    for (; P < K; ++P) {
-      float AV = ARow[P];
-      if (AV == 0.0f)
-        continue;
-      float *CRow = C + static_cast<size_t>(P) * N;
-      for (int J = 0; J < N; ++J)
-        CRow[J] += AV * GRow[J];
-    }
-  }
+  // C (K×N) row r takes its chain over the rows i of A and G, reading
+  // a(r, i) = A[i·K + r].
+  accumRows(A, 1, static_cast<size_t>(K), G, C, K, M, N);
+}
+
+const char *vega::detail::gemmVariant() {
+#if defined(__x86_64__)
+  // The target_clones resolver makes the same check once, at load time.
+  return __builtin_cpu_supports("avx2") ? "avx2" : "default";
+#else
+  return "default";
+#endif
 }
 
 TensorPtr vega::matmul(const TensorPtr &A, const TensorPtr &B) {
@@ -516,9 +640,8 @@ TensorPtr vega::gatherRows(const TensorPtr &E, const std::vector<int> &Ids) {
       Out->at(static_cast<int>(I), J) = E->at(Ids[I], J);
   }
   Tensor *EP = E.get(), *OP = Out.get();
-  std::vector<int> IdsCopy = Ids;
   if (Out->RequiresGrad)
-    Out->Backward = [EP, OP, IdsCopy] {
+    Out->Backward = [EP, OP, IdsCopy = Ids] {
       const float *OG = OP->gradData();
       float *EG = EP->gradData();
       const int C = OP->Cols;
@@ -555,9 +678,8 @@ TensorPtr vega::concatCols(const std::vector<TensorPtr> &Parts) {
     assert(P->Rows == Rows && "concat row mismatch");
     Cols += P->Cols;
   }
-  TensorPtr Out = makeTensor(Rows, Cols, true);
-  for (const TensorPtr &P : Parts)
-    Out->Parents.push_back(P);
+  TensorPtr Out =
+      makeResult(Rows, Cols, Parts.data(), Parts.data() + Parts.size());
   int Offset = 0;
   for (const TensorPtr &P : Parts) {
     for (int I = 0; I < Rows; ++I)
@@ -565,11 +687,11 @@ TensorPtr vega::concatCols(const std::vector<TensorPtr> &Parts) {
         Out->at(I, Offset + J) = P->at(I, J);
     Offset += P->Cols;
   }
-  Tensor *OP = Out.get();
-  std::vector<Tensor *> Raw;
-  for (const TensorPtr &P : Parts)
-    Raw.push_back(P.get());
-  if (Out->RequiresGrad)
+  if (Out->RequiresGrad) {
+    Tensor *OP = Out.get();
+    std::vector<Tensor *> Raw;
+    for (const TensorPtr &P : Parts)
+      Raw.push_back(P.get());
     Out->Backward = [OP, Raw] {
       const float *OG = OP->gradData();
       int Offset = 0;
@@ -582,6 +704,7 @@ TensorPtr vega::concatCols(const std::vector<TensorPtr> &Parts) {
         Offset += P->Cols;
       }
     };
+  }
   return Out;
 }
 
@@ -594,9 +717,8 @@ TensorPtr vega::copyScatter(const TensorPtr &A, const std::vector<int> &SrcIds,
     for (size_t J = 0; J < SrcIds.size(); ++J)
       Out->at(T, SrcIds[J]) += A->at(T, static_cast<int>(J));
   Tensor *AP = A.get(), *OP = Out.get();
-  std::vector<int> Ids = SrcIds;
   if (Out->RequiresGrad)
-    Out->Backward = [AP, OP, Ids] {
+    Out->Backward = [AP, OP, Ids = SrcIds] {
       const float *OG = OP->gradData();
       float *AG = AP->gradData();
       for (int T = 0; T < AP->Rows; ++T)
@@ -619,12 +741,10 @@ TensorPtr vega::sparseMix(const TensorPtr &E,
         Out->at(static_cast<int>(I), J) += E->at(P, J) * Inv;
   }
   Tensor *EP = E.get(), *OP = Out.get();
-  const std::vector<std::vector<int>> *ListsPtr = &Lists;
-  // Lists outlive the tape in our usage (owned by the Vocab); copy anyway
-  // for safety in tests.
-  std::vector<std::vector<int>> ListsCopy = *ListsPtr;
+  // The closure keeps its own copy: callers' lists need not outlive the
+  // tape.
   if (Out->RequiresGrad)
-    Out->Backward = [EP, OP, ListsCopy] {
+    Out->Backward = [EP, OP, ListsCopy = Lists] {
       const float *OG = OP->gradData();
       float *EG = EP->gradData();
       const int C = OP->Cols;
@@ -664,9 +784,8 @@ TensorPtr vega::crossEntropy(const TensorPtr &Logits,
   }
   Out->Data[0] = Loss / static_cast<float>(Logits->Rows);
   Tensor *LP = Logits.get(), *OP = Out.get();
-  std::vector<int> T = Targets;
   if (Out->RequiresGrad)
-    Out->Backward = [LP, OP, Probs, T, V] {
+    Out->Backward = [LP, OP, Probs, T = Targets, V] {
       float Scale = OP->gradData()[0] / static_cast<float>(LP->Rows);
       float *LG = LP->gradData();
       for (int I = 0; I < LP->Rows; ++I)

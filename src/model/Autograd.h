@@ -58,8 +58,6 @@ public:
   /// concurrently without ever writing the same memory.
   float *gradData();
 
-  std::vector<float> Datav() const { return Data; }
-
   /// Ensures a gradient buffer exists (used when a no-grad tensor becomes
   /// part of a differentiable expression).
   void ensureGrad() {
@@ -214,30 +212,39 @@ public:
 
 namespace detail {
 
-/// Register-blocked GEMM kernels behind matmul/matmulNT (forward and
-/// backward). Each kernel keeps every output element's accumulation chain
-/// in ascending inner-dimension order, so results are bit-identical to the
-/// naive triple loops — blocking only adds independent accumulator chains
-/// (ILP) and streams operands through cache in larger units. Exposed here
-/// so the microbenchmarks can measure them directly.
+/// GEMM kernels behind matmul/matmulNT (forward and backward). They
+/// vectorize across independent output columns, eight at a time, and keep
+/// every output element's accumulation chain c = fl(c + fl(a·b)) in
+/// ascending inner-dimension order with no fused multiply-add, so results
+/// are bit-identical to the naive triple loops on every instruction set.
+/// An AVX2 variant and an x86-64 baseline variant are built from one
+/// source; the choice is made once, at load time. Exposed here so tests and
+/// microbenchmarks can call them directly.
 
-/// C += A·B (A: M×K, B: K×N, C: M×N). Zero entries of A are skipped like
-/// the historical scalar kernel (attention rows are sparse after masking).
+/// C += A·B (A: M×K, B: K×N, C: M×N). A zero entry A[i,p] skips its step
+/// for row i, so no 0·x product is formed (x may be inf; attention rows
+/// are sparse after masking).
 void gemmAccum(const float *A, const float *B, float *C, int M, int K,
                int N);
 
-/// C = A·Bᵀ (A: M×K, B: N×K, C: M×N), with a packed B-panel fast path
-/// when M is large enough to amortize the packing.
+/// C = A·Bᵀ (A: M×K, B: N×K, C: M×N). Chains start at +0.0f and skip
+/// nothing. B is packed into a transposed panel when M ≥ 8 and transposed
+/// 8×8 in registers otherwise (the one-row decode step).
 void gemmNT(const float *A, const float *B, float *C, int M, int K, int N);
 
-/// C += A·Bᵀ — the dA = dO·B step of matmulNT/matmul backward.
+/// C += A·Bᵀ — the dA = dO·Bᵀ step of matmul backward. Each chain starts
+/// at +0.0f and is added to C once at the end.
 void gemmNTAccum(const float *A, const float *B, float *C, int M, int K,
                  int N);
 
 /// C += Aᵀ·G (A: M×K, G: M×N, C: K×N) — the dB = Aᵀ·dO step of matmul
-/// backward, preserving the skip on zero A entries.
+/// backward, with the same zero skip as gemmAccum on the entries of A.
 void gemmTNAccum(const float *A, const float *G, float *C, int M, int K,
                  int N);
+
+/// The kernel variant this process runs: "avx2" or "default". Mirrors the
+/// load-time choice, for benchmark provenance.
+const char *gemmVariant();
 
 } // namespace detail
 

@@ -15,8 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <limits>
 
 using namespace vega;
 
@@ -169,6 +172,281 @@ TEST(Autograd, AdamReducesLoss) {
     Opt.step();
   }
   EXPECT_LT(Last, First * 0.2f);
+}
+
+TEST(Autograd, NoGradOpsRecordNoTape) {
+  // Under a NoGradGuard every op returns a plain value: no parents, no
+  // backward closure, RequiresGrad == false, and the same bits as the
+  // taped op.
+  TensorPtr A = makeParam(3, 4, 0.5f, 31), A2 = makeParam(3, 4, 0.5f, 32);
+  TensorPtr B = makeParam(4, 4, 0.5f, 33), Row = makeParam(1, 4, 0.5f, 34);
+  TensorPtr S = makeParam(1, 1, 0.5f, 35), Gamma = makeParam(1, 4, 0.5f, 36);
+  TensorPtr Beta = makeParam(1, 4, 0.5f, 37);
+  const std::pair<const char *, std::function<TensorPtr()>> Ops[] = {
+      {"matmul", [&] { return matmul(A, B); }},
+      {"matmulNT", [&] { return matmulNT(A, B); }},
+      {"add", [&] { return add(A, A2); }},
+      {"addRow", [&] { return addRow(A, Row); }},
+      {"scale", [&] { return scale(A, 0.5f); }},
+      {"scaleByScalar", [&] { return scaleByScalar(A, S); }},
+      {"relu", [&] { return relu(A); }},
+      {"softmaxRows", [&] { return softmaxRows(A); }},
+      {"layerNorm", [&] { return layerNorm(A, Gamma, Beta); }},
+      {"gatherRows", [&] { return gatherRows(B, {2, 0, 2}); }},
+      {"sliceCols", [&] { return sliceCols(A, 1, 2); }},
+      {"concatCols", [&] { return concatCols({A, A2}); }},
+      {"copyScatter", [&] { return copyScatter(A, {3, 1, 3, 0}, 6); }},
+      {"sparseMix", [&] { return sparseMix(B, {{0, 1}, {}, {3}}); }},
+      {"crossEntropy", [&] { return crossEntropy(A, {0, 3, 1}); }},
+  };
+  for (const auto &[Name, Op] : Ops) {
+    TensorPtr Taped = Op();
+    EXPECT_TRUE(Taped->RequiresGrad) << Name;
+    EXPECT_FALSE(Taped->Parents.empty()) << Name;
+    EXPECT_TRUE(Taped->Backward) << Name;
+    TensorPtr Plain;
+    {
+      NoGradGuard Guard;
+      Plain = Op();
+    }
+    EXPECT_FALSE(Plain->RequiresGrad) << Name;
+    EXPECT_TRUE(Plain->Parents.empty()) << Name;
+    EXPECT_FALSE(Plain->Backward) << Name;
+    ASSERT_EQ(Plain->Data.size(), Taped->Data.size()) << Name;
+    EXPECT_EQ(0, std::memcmp(Plain->Data.data(), Taped->Data.data(),
+                             Plain->Data.size() * sizeof(float)))
+        << Name;
+  }
+}
+
+// ---- GEMM kernels vs naive loops, byte for byte ----
+
+namespace {
+
+// The naive loops the detail::gemm* kernels must reproduce bit for bit.
+// Each product is its own statement, so no compiler contracts it into a
+// fused multiply-add.
+
+void refGemmAccum(const float *A, const float *B, float *C, int M, int K,
+                  int N) {
+  for (int I = 0; I < M; ++I)
+    for (int J = 0; J < N; ++J) {
+      float Acc = C[I * N + J];
+      for (int P = 0; P < K; ++P) {
+        if (A[I * K + P] == 0.0f)
+          continue;
+        const float Prod = A[I * K + P] * B[P * N + J];
+        Acc += Prod;
+      }
+      C[I * N + J] = Acc;
+    }
+}
+
+void refGemmNTInto(const float *A, const float *B, float *C, int M, int K,
+                   int N, bool AddToC) {
+  for (int I = 0; I < M; ++I)
+    for (int J = 0; J < N; ++J) {
+      float Acc = 0.0f;
+      for (int P = 0; P < K; ++P) {
+        const float Prod = A[I * K + P] * B[J * K + P];
+        Acc += Prod;
+      }
+      C[I * N + J] = AddToC ? C[I * N + J] + Acc : Acc;
+    }
+}
+
+void refGemmNT(const float *A, const float *B, float *C, int M, int K,
+               int N) {
+  refGemmNTInto(A, B, C, M, K, N, /*AddToC=*/false);
+}
+
+void refGemmNTAccum(const float *A, const float *B, float *C, int M, int K,
+                    int N) {
+  refGemmNTInto(A, B, C, M, K, N, /*AddToC=*/true);
+}
+
+void refGemmTNAccum(const float *A, const float *G, float *C, int M, int K,
+                    int N) {
+  for (int R = 0; R < K; ++R)
+    for (int J = 0; J < N; ++J) {
+      float Acc = C[R * N + J];
+      for (int I = 0; I < M; ++I) {
+        if (A[I * K + R] == 0.0f)
+          continue;
+        const float Prod = A[I * K + R] * G[I * N + J];
+        Acc += Prod;
+      }
+      C[R * N + J] = Acc;
+    }
+}
+
+using GemmFn = void (*)(const float *, const float *, float *, int, int, int);
+
+/// A seeded Rows×Cols operand with isolated zeros and -0.0f entries; with
+/// \p ZeroBlocks also whole zero 4-blocks along each row.
+std::vector<float> kernelOperand(int Rows, int Cols, uint64_t Seed,
+                                 bool ZeroBlocks) {
+  RNG Rng(Seed);
+  std::vector<float> V(static_cast<size_t>(Rows) * Cols);
+  for (float &X : V) {
+    X = static_cast<float>(Rng.nextDouble(-2.0, 2.0));
+    double U = Rng.nextDouble();
+    if (U < 0.05)
+      X = 0.0f;
+    else if (U < 0.08)
+      X = -0.0f;
+  }
+  if (ZeroBlocks)
+    for (int R = 0; R < Rows; ++R)
+      for (int P = 0; P + 4 <= Cols; P += 4)
+        if (Rng.nextBool(0.1))
+          std::fill_n(V.begin() + static_cast<size_t>(R) * Cols + P, 4, 0.0f);
+  return V;
+}
+
+/// Runs \p Kernel and \p Ref over every test shape on copies of the same
+/// operands (B is BRows×BCols, C is CRows×CCols, both as functions of M, K,
+/// N) and expects byte-identical outputs. C starts non-zero, so the
+/// accumulating kernels are checked from a live C and gemmNT must
+/// overwrite every element.
+template <typename BShape, typename CShape>
+void expectKernelMatchesReference(const char *Name, GemmFn Kernel, GemmFn Ref,
+                                  BShape BDims, CShape CDims) {
+  const int Ms[] = {1, 2, 3, 7, 8, 9, 25, 48};
+  const int Ks[] = {1, 3, 8, 16, 17, 64, 65};
+  const int Ns[] = {1, 7, 8, 9, 16, 17, 31, 32, 33, 64, 192, 257};
+  int Mismatches = 0;
+  for (int M : Ms)
+    for (int K : Ks)
+      for (int N : Ns) {
+        const uint64_t Seed = static_cast<uint64_t>(M) * 1000003u +
+                              static_cast<uint64_t>(K) * 1009u +
+                              static_cast<uint64_t>(N);
+        auto [BR, BC] = BDims(M, K, N);
+        auto [CR, CC] = CDims(M, K, N);
+        std::vector<float> A = kernelOperand(M, K, Seed, /*ZeroBlocks=*/true);
+        std::vector<float> B = kernelOperand(BR, BC, Seed + 1, false);
+        std::vector<float> Want = kernelOperand(CR, CC, Seed + 2, false);
+        std::vector<float> Got = Want;
+        Kernel(A.data(), B.data(), Got.data(), M, K, N);
+        Ref(A.data(), B.data(), Want.data(), M, K, N);
+        if (std::memcmp(Got.data(), Want.data(),
+                        Want.size() * sizeof(float)) != 0 &&
+            ++Mismatches <= 5) {
+          ADD_FAILURE() << Name << " differs from the naive loop at M=" << M
+                        << " K=" << K << " N=" << N;
+        }
+      }
+  EXPECT_EQ(Mismatches, 0) << Name;
+}
+
+} // namespace
+
+TEST(Kernels, GemmAccumMatchesNaiveLoop) {
+  expectKernelMatchesReference(
+      "gemmAccum", detail::gemmAccum, refGemmAccum,
+      [](int, int K, int N) { return std::pair(K, N); },
+      [](int M, int, int N) { return std::pair(M, N); });
+}
+
+TEST(Kernels, GemmNTMatchesNaiveLoop) {
+  expectKernelMatchesReference(
+      "gemmNT", detail::gemmNT, refGemmNT,
+      [](int, int K, int N) { return std::pair(N, K); },
+      [](int M, int, int N) { return std::pair(M, N); });
+}
+
+TEST(Kernels, GemmNTAccumMatchesNaiveLoop) {
+  expectKernelMatchesReference(
+      "gemmNTAccum", detail::gemmNTAccum, refGemmNTAccum,
+      [](int, int K, int N) { return std::pair(N, K); },
+      [](int M, int, int N) { return std::pair(M, N); });
+}
+
+TEST(Kernels, GemmTNAccumMatchesNaiveLoop) {
+  expectKernelMatchesReference(
+      "gemmTNAccum", detail::gemmTNAccum, refGemmTNAccum,
+      [](int M, int, int N) { return std::pair(M, N); },
+      [](int, int K, int N) { return std::pair(K, N); });
+}
+
+TEST(Kernels, ZeroSkipNeverMultipliesInf) {
+  // gemmAccum and gemmTNAccum skip the step of a zero A entry, so an inf
+  // on the other side of it cannot turn into NaN. gemmNT and gemmNTAccum
+  // skip nothing: the same 0·inf is NaN, exactly as in the naive loop.
+  const float Inf = std::numeric_limits<float>::infinity();
+  auto NoNaN = [](const std::vector<float> &V) {
+    return std::none_of(V.begin(), V.end(),
+                        [](float X) { return std::isnan(X); });
+  };
+  auto SameBytes = [](const std::vector<float> &X,
+                      const std::vector<float> &Y) {
+    return X.size() == Y.size() &&
+           std::memcmp(X.data(), Y.data(), X.size() * sizeof(float)) == 0;
+  };
+  for (int M : {1, 5, 9})
+    for (int K : {5, 17})
+      for (int N : {9, 64, 70}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "M=" << M << " K=" << K << " N=" << N);
+        const uint64_t Seed = static_cast<uint64_t>(M * 100 + K * 10 + N);
+        // A's column 2 cycles through +0, -0 and a non-zero value; every
+        // other entry is non-zero.
+        std::vector<float> A(static_cast<size_t>(M) * K);
+        for (size_t I = 0; I < A.size(); ++I)
+          A[I] = 0.25f + static_cast<float>(I % 7) * 0.125f;
+        for (int I = 0; I < M; ++I)
+          A[static_cast<size_t>(I) * K + 2] =
+              I % 3 == 0 ? 0.0f : (I % 3 == 1 ? -0.0f : 0.5f);
+
+        // gemmAccum: row 2 of B is inf, met by column 2 of A.
+        std::vector<float> B = kernelOperand(K, N, Seed, false);
+        std::fill_n(B.begin() + 2 * N, N, Inf);
+        std::vector<float> Got = kernelOperand(M, N, Seed + 1, false);
+        std::vector<float> Want = Got;
+        detail::gemmAccum(A.data(), B.data(), Got.data(), M, K, N);
+        refGemmAccum(A.data(), B.data(), Want.data(), M, K, N);
+        EXPECT_TRUE(NoNaN(Got)) << "gemmAccum formed 0*inf";
+        EXPECT_TRUE(SameBytes(Got, Want)) << "gemmAccum";
+        for (int I = 0; I < M; ++I) {
+          if (I % 3 == 2) // the rows whose A[i][2] is not a zero
+            continue;
+          for (int J = 0; J < N; ++J)
+            EXPECT_TRUE(std::isfinite(Got[static_cast<size_t>(I) * N + J]));
+        }
+
+        // gemmTNAccum: row 0 of G is inf; row 0 of A is a zero in every
+        // even column, so the even rows of C skip it.
+        std::vector<float> A0 = A;
+        for (int R = 0; R < K; ++R)
+          A0[static_cast<size_t>(R)] =
+              R % 2 == 0 ? (R % 4 == 0 ? 0.0f : -0.0f) : 0.75f;
+        std::vector<float> G = kernelOperand(M, N, Seed + 2, false);
+        std::fill_n(G.begin(), N, Inf);
+        Got = kernelOperand(K, N, Seed + 3, false);
+        Want = Got;
+        detail::gemmTNAccum(A0.data(), G.data(), Got.data(), M, K, N);
+        refGemmTNAccum(A0.data(), G.data(), Want.data(), M, K, N);
+        EXPECT_TRUE(NoNaN(Got)) << "gemmTNAccum formed 0*inf";
+        EXPECT_TRUE(SameBytes(Got, Want)) << "gemmTNAccum";
+        for (int R = 0; R < K; R += 2)
+          for (int J = 0; J < N; ++J)
+            EXPECT_TRUE(std::isfinite(Got[static_cast<size_t>(R) * N + J]));
+
+        // gemmNT / gemmNTAccum: row 2 of B is inf against A's column 2.
+        std::vector<float> BT = kernelOperand(N, K, Seed + 4, false);
+        for (int P = 0; P < K; ++P)
+          BT[2 * static_cast<size_t>(K) + P] = Inf;
+        for (GemmFn Fn : {detail::gemmNT, detail::gemmNTAccum}) {
+          GemmFn Ref = Fn == detail::gemmNT ? refGemmNT : refGemmNTAccum;
+          Got = kernelOperand(M, N, Seed + 5, false);
+          Want = Got;
+          Fn(A.data(), BT.data(), Got.data(), M, K, N);
+          Ref(A.data(), BT.data(), Want.data(), M, K, N);
+          EXPECT_TRUE(std::isnan(Got[2])) << "row 0 meets 0*inf";
+          EXPECT_TRUE(SameBytes(Got, Want));
+        }
+      }
 }
 
 TEST(Vocab, SpecialTokensExist) {
