@@ -229,13 +229,17 @@ BENCHMARK_CAPTURE(BM_Gemm, tnaccum_48x64x192, GemmCases[5]);
 /// A synthetic decode workload: an untrained (but deterministically seeded)
 /// CodeBE plus a 40-step decode plan that pins one admissible token per
 /// position, so every generate() emits exactly 40 tokens regardless of the
-/// random weights.
+/// random weights. Stage3Plan has Stage 3's shape instead: the confidence
+/// buckets, two pinned skeleton tokens, one placeholder choosing among six
+/// candidates (one biased), then a pinned tail — 9 tokens, none of them
+/// [EOS].
 struct DecodeFixture {
   Vocab V;
   std::unique_ptr<CodeBE> Model;
   std::vector<int> Src;
   CodeBE::DecodePlan Plan;
   int Tokens = 0;
+  CodeBE::DecodePlan Stage3Plan;
 
   DecodeFixture() {
     std::vector<int> Words;
@@ -250,6 +254,18 @@ struct DecodeFixture {
     for (int I = 0; I < 39; ++I)
       Plan.Steps.push_back({Words[static_cast<size_t>(I)]});
     Tokens = static_cast<int>(Plan.Steps.size());
+
+    Stage3Plan.Steps.emplace_back();
+    for (int B = 0; B < Vocab::NumCsBuckets; ++B)
+      Stage3Plan.Steps.back().push_back(V.csId(B));
+    Stage3Plan.Steps.push_back({Words[20]});
+    Stage3Plan.Steps.push_back({Words[21]});
+    Stage3Plan.Steps.push_back(
+        {Words[3], Words[7], Words[11], Words[12], Words[13], Words[14]});
+    for (int I = 22; I < 27; ++I)
+      Stage3Plan.Steps.push_back({Words[static_cast<size_t>(I)]});
+    Stage3Plan.Bias.resize(Stage3Plan.Steps.size());
+    Stage3Plan.Bias[3][Words[12]] = 1.5f;
   }
 
   static DecodeFixture &instance() {
@@ -276,6 +292,19 @@ void BM_DecodeKVCache(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * F.Tokens);
 }
 BENCHMARK(BM_DecodeKVCache);
+
+/// The Stage-3 decode as generation runs it: no probabilities, so only the
+/// admissible columns are scored and the pinned tail runs no decoder pass.
+void BM_DecodeStage3Plan(benchmark::State &State) {
+  DecodeFixture &F = DecodeFixture::instance();
+  F.Model->setDecodeMode(CodeBE::DecodeMode::KVCache);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(F.Model->generate(F.Src, nullptr, &F.Stage3Plan,
+                                               /*WithProbs=*/false));
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(F.Stage3Plan.Steps.size()));
+}
+BENCHMARK(BM_DecodeStage3Plan);
 
 // ---- Training throughput ------------------------------------------------
 

@@ -900,7 +900,6 @@ void VegaSystem::buildRowDecode(const TemplateInfo &TI, const TemplateRow &Row,
   for (int B = 0; B < Vocab::NumCsBuckets; ++B)
     Plan.Steps.front().push_back(Vocabulary.csId(B));
   {
-    auto SlotsIt = TI.Features.RowSlots.find(Row.Index);
     size_t Primary = SIZE_MAX;
     auto PIt = TI.PrimarySlot.find(&Row);
     if (PIt != TI.PrimarySlot.end())

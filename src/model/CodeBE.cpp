@@ -258,6 +258,69 @@ TensorPtr CodeBE::presenceFor(int Rows, const std::vector<int> &SrcIds) {
   return copyScatter(Ones, UniqueSrc, static_cast<int>(Vocabulary.size()));
 }
 
+namespace {
+
+/// One inference logit: the vocabulary projection \p Base plus the copy
+/// head's gated mass on the token plus the source-presence boost, in the
+/// float order of logitsFor's add/scaleByScalar tape. The row sweep and the
+/// admissible-column path both call it, so a column's logit is the same
+/// bytes as the row's element.
+inline float mixLogit(float Base, float Copy, float Presence, float CopyGate,
+                      float SrcBias) {
+  return (Base + Copy * CopyGate) + Presence * SrcBias;
+}
+
+/// The admissible set of plan position \p Step, or null when the step is
+/// unconstrained (no plan, or an empty set).
+const std::vector<int> *stepSetOf(const CodeBE::DecodePlan *Plan, int Step) {
+  if (!Plan || Plan->Steps[static_cast<size_t>(Step)].empty())
+    return nullptr;
+  return &Plan->Steps[static_cast<size_t>(Step)];
+}
+
+/// The plan's logit biases at \p Step, or null when it has none.
+const std::map<int, float> *stepBiasOf(const CodeBE::DecodePlan &Plan,
+                                       int Step) {
+  return Plan.Bias.size() > static_cast<size_t>(Step)
+             ? &Plan.Bias[static_cast<size_t>(Step)]
+             : nullptr;
+}
+
+/// Greedy choice over a plan step's set: ids outside [0, \p VocabSize) are
+/// skipped, the plan bias is added to \p LogitOf(J), and the first strict
+/// maximum above -1e30f wins. Returns -1 (and leaves \p BestV at -1e30f)
+/// when no id is in range.
+template <typename LogitFn>
+int argmaxOverSet(const std::vector<int> &Set, const std::map<int, float> *Bias,
+                  int VocabSize, LogitFn LogitOf, float &BestV) {
+  int Best = -1;
+  BestV = -1e30f;
+  for (int J : Set) {
+    if (J < 0 || J >= VocabSize)
+      continue;
+    float Score = LogitOf(J);
+    if (Bias) {
+      auto It = Bias->find(J);
+      if (It != Bias->end())
+        Score += It->second;
+    }
+    if (Score > BestV) {
+      BestV = Score;
+      Best = J;
+    }
+  }
+  return Best;
+}
+
+} // namespace
+
+TensorPtr CodeBE::copyAttention(const TensorPtr &DecOut,
+                                const TensorPtr &Memory) {
+  float Scale = 1.0f / std::sqrt(static_cast<float>(Config.DModel));
+  TensorPtr CScores = scale(matmulNT(linear(DecOut, CopyProj), Memory), Scale);
+  return softmaxRows(CScores);
+}
+
 TensorPtr CodeBE::logitsFor(const TensorPtr &DecOut, const TensorPtr &Memory,
                             const std::vector<int> &SrcIds, bool UseCombCache,
                             const TensorPtr &CachedPresence,
@@ -268,8 +331,7 @@ TensorPtr CodeBE::logitsFor(const TensorPtr &DecOut, const TensorPtr &Memory,
     // example tapes (the Trainer builds it once per batch).
     Comb = CombOverride;
   } else if (UseCombCache) {
-    if (CombDirty.load(std::memory_order_acquire))
-      refreshCombCache();
+    prepareGenerate();
     Comb = CombCache;
   } else {
     Comb = combinedEmbeddings();
@@ -277,12 +339,11 @@ TensorPtr CodeBE::logitsFor(const TensorPtr &DecOut, const TensorPtr &Memory,
   TensorPtr Base = matmulNT(DecOut, Comb);
   // Pointer/copy head: attend the encoder memory and scatter the attention
   // mass onto the source token ids.
-  float Scale = 1.0f / std::sqrt(static_cast<float>(Config.DModel));
-  TensorPtr CScores = scale(matmulNT(linear(DecOut, CopyProj), Memory), Scale);
-  TensorPtr A = softmaxRows(CScores);
+  TensorPtr A = copyAttention(DecOut, Memory);
   TensorPtr Copy = copyScatter(A, SrcIds, static_cast<int>(Vocabulary.size()));
   // The presence tensor is a pure function of (Rows, SrcIds); incremental
-  // decoding hands in the one-row tensor it computed before the loop.
+  // decoding hands in the one-row tensor it computed for its first
+  // full-vocabulary step.
   TensorPtr Presence =
       CachedPresence && CachedPresence->Rows == DecOut->Rows
           ? CachedPresence
@@ -296,11 +357,43 @@ TensorPtr CodeBE::logitsFor(const TensorPtr &DecOut, const TensorPtr &Memory,
     float CG = CopyGate->Data[0], SB = SrcBias->Data[0];
     for (size_t I = 0; I < Base->Data.size(); ++I)
       Base->Data[I] =
-          (Base->Data[I] + Copy->Data[I] * CG) + Presence->Data[I] * SB;
+          mixLogit(Base->Data[I], Copy->Data[I], Presence->Data[I], CG, SB);
     return Base;
   }
   return add(add(Base, scaleByScalar(Copy, CopyGate)),
              scaleByScalar(Presence, SrcBias));
+}
+
+int CodeBE::chooseByColumns(const TensorPtr &DecRow, const TensorPtr &Memory,
+                            const std::vector<int> &SrcIds,
+                            const std::vector<int> &Set,
+                            const std::map<int, float> *Bias) {
+  // Each term is computed exactly as the row path computes that element:
+  // Base[J] is the M=1 projection's chain for column J (from +0.0f in
+  // ascending inner index), Copy[J] is copyScatter's sum of the copy head's
+  // mass at the source positions holding J (from 0.0f in ascending
+  // position), and Presence[J] is presenceFor's 1.0f or 0.0f.
+  prepareGenerate();
+  const float *Comb = CombCache->Data.data();
+  const TensorPtr A = copyAttention(DecRow, Memory);
+  const int D = Config.DModel;
+  const float CG = CopyGate->Data[0], SB = SrcBias->Data[0];
+  float BestV = -1e30f;
+  return argmaxOverSet(
+      Set, Bias, static_cast<int>(Vocabulary.size()),
+      [&](int J) {
+        float Base = 0.0f;
+        detail::gemmNT(DecRow->Data.data(), Comb + static_cast<size_t>(J) * D,
+                       &Base, 1, D, 1);
+        float Copy = 0.0f, Presence = 0.0f;
+        for (size_t P = 0; P < SrcIds.size(); ++P)
+          if (SrcIds[P] == J) {
+            Copy += A->Data[P];
+            Presence = 1.0f;
+          }
+        return mixLogit(Base, Copy, Presence, CG, SB);
+      },
+      BestV);
 }
 
 TensorPtr CodeBE::trainLoss(const TrainPair &Pair, const TensorPtr &Comb) {
@@ -384,12 +477,17 @@ struct CodeBE::DecodeStream::Impl {
   const std::vector<uint8_t> *Allowed = nullptr; ///< borrowed
   const DecodePlan *Plan = nullptr;              ///< borrowed
   bool WithProbs = false;
+  /// The plan's last position whose set is not a singleton (-1 when every
+  /// position is pinned). Nothing reads a decoder pass after it.
+  int LastFree = -1;
   KVCacheState St;
-  TensorPtr PresenceRow;
+  TensorPtr PresenceRow; ///< built by the first full-vocabulary step
   Decoded Result;
   int PrevTok = 0;
   int Step = 0;
   bool Done = false;
+  int Passes = 0;      ///< decoder passes run (model.decoder_passes)
+  int Projections = 0; ///< 1×V logit rows built (model.vocab_projections)
 };
 
 CodeBE::DecodeStream::DecodeStream() = default;
@@ -492,31 +590,12 @@ int CodeBE::chooseGreedy(const TensorPtr &Logits,
                          double &Prob) const {
   // Greedy choice over the last row, restricted to the admissible set.
   const int Last = Logits->Rows - 1;
-  const std::vector<int> *StepSet =
-      Plan && !Plan->Steps[static_cast<size_t>(Step)].empty()
-          ? &Plan->Steps[static_cast<size_t>(Step)]
-          : nullptr;
   int Best = -1;
   float BestV = -1e30f;
-  if (StepSet) {
-    const std::map<int, float> *Bias =
-        Plan->Bias.size() > static_cast<size_t>(Step)
-            ? &Plan->Bias[static_cast<size_t>(Step)]
-            : nullptr;
-    for (int J : *StepSet) {
-      if (J < 0 || J >= Logits->Cols)
-        continue;
-      float Score = Logits->at(Last, J);
-      if (Bias) {
-        auto It = Bias->find(J);
-        if (It != Bias->end())
-          Score += It->second;
-      }
-      if (Score > BestV) {
-        BestV = Score;
-        Best = J;
-      }
-    }
+  if (const std::vector<int> *StepSet = stepSetOf(Plan, Step)) {
+    Best = argmaxOverSet(
+        *StepSet, stepBiasOf(*Plan, Step), Logits->Cols,
+        [&](int J) { return Logits->at(Last, J); }, BestV);
   } else {
     auto IsAllowed = [&](int Id) {
       if (!Allowed)
@@ -568,22 +647,22 @@ bool CodeBE::decodeGreedyKV(DecodeStream::Impl &D) {
   // Positions past the plan end the statement.
   if (D.Plan && static_cast<size_t>(Step) >= D.Plan->Steps.size())
     return true;
-  const std::vector<int> *StepSet =
-      D.Plan && !D.Plan->Steps[static_cast<size_t>(Step)].empty()
-          ? &D.Plan->Steps[static_cast<size_t>(Step)]
-          : nullptr;
-  // Pinned-step skip: when the plan admits exactly one token and the
-  // caller skipped probabilities, the argmax over the singleton is forced
-  // and the vocabulary-wide logit projection — the dominant GEMM of the
-  // step — can be skipped outright. decodeStep still runs, so the KV
-  // cache holds exactly the rows the logits path would have produced, and
-  // the out-of-range and [EOS] break conditions mirror the argmax path:
-  // the tokens equal those of a WithProbs decode of the same plan.
+  const std::vector<int> *StepSet = stepSetOf(D.Plan, Step);
+  // Without probabilities the decode computes only what the greedy choice
+  // reads, and chooses the tokens a WithProbs decode of the same plan
+  // chooses. A pinned position needs no logits: its singleton is the
+  // argmax, and the out-of-range and [EOS] exits mirror the argmax path.
+  // Its decoder pass still runs when a later free position attends over
+  // the K/V rows it appends; after the plan's last free position nothing
+  // reads the pass, so it is skipped.
   if (!D.WithProbs && StepSet && StepSet->size() == 1) {
     const int J = (*StepSet)[0];
     if (J < 0 || J >= static_cast<int>(Vocabulary.size()))
       return true; // the argmax would find nothing admissible
-    decodeStep(D.St, D.PrevTok);
+    if (Step < D.LastFree) {
+      decodeStep(D.St, D.PrevTok);
+      ++D.Passes;
+    }
     if (J == Vocabulary.eosId())
       return true;
     D.Result.Tokens.push_back(J);
@@ -591,10 +670,21 @@ bool CodeBE::decodeGreedyKV(DecodeStream::Impl &D) {
     return false;
   }
   TensorPtr DecRow = decodeStep(D.St, D.PrevTok);
-  TensorPtr Logits = logitsFor(DecRow, D.St.Memory, D.Input,
-                               /*UseCombCache=*/true, D.PresenceRow);
+  ++D.Passes;
+  int Best = -1;
   double Prob = 1.0;
-  int Best = chooseGreedy(Logits, D.Allowed, D.Plan, Step, D.WithProbs, Prob);
+  if (!D.WithProbs && StepSet) {
+    // A multi-id set scores its admissible columns, not the 1×V row.
+    Best = chooseByColumns(DecRow, D.St.Memory, D.Input, *StepSet,
+                           stepBiasOf(*D.Plan, Step));
+  } else {
+    if (!D.PresenceRow)
+      D.PresenceRow = presenceFor(1, D.Input);
+    TensorPtr Logits = logitsFor(DecRow, D.St.Memory, D.Input,
+                                 /*UseCombCache=*/true, D.PresenceRow);
+    ++D.Projections;
+    Best = chooseGreedy(Logits, D.Allowed, D.Plan, Step, D.WithProbs, Prob);
+  }
   if (Best < 0 || Best == Vocabulary.eosId())
     return true;
   D.Result.Tokens.push_back(Best);
@@ -621,6 +711,10 @@ CodeBE::DecodeStream CodeBE::beginDecode(const std::vector<int> &Src,
   D.Allowed = Allowed;
   D.Plan = Plan;
   D.WithProbs = WithProbs;
+  if (Plan)
+    for (size_t P = 0; P < Plan->Steps.size(); ++P)
+      if (Plan->Steps[P].size() != 1)
+        D.LastFree = static_cast<int>(P);
   {
     obs::Span EncSpan("model.encode", "model");
     D.St.Memory = runEncoder(D.Input);
@@ -638,8 +732,6 @@ CodeBE::DecodeStream CodeBE::beginDecode(const std::vector<int> &Src,
       D.St.CrossV[LI].push_back(sliceCols(V, HI * Dk, Dk));
     }
   }
-  // The one-row presence bias is constant across all incremental steps.
-  D.PresenceRow = presenceFor(1, D.Input);
   D.PrevTok = Vocabulary.e2dId();
   return S;
 }
@@ -683,13 +775,19 @@ CodeBE::Decoded CodeBE::generate(const std::vector<int> &Src,
                                  const DecodePlan *Plan, bool WithProbs) {
   NoGradGuard Guard;
   Decoded Result;
+  int Passes = 0, Projections = 0;
   if (Mode == DecodeMode::KVCache) {
     // The solo decode is one stream run to completion — the same step-level
     // path decodeStepMany() co-steps many streams through, so solo and
     // co-batched decodes cannot diverge.
     DecodeStream S = beginDecode(Src, Allowed, Plan, WithProbs);
     obs::Span DecSpan("model.decode", "model");
-    Result = finishDecode(std::move(S));
+    std::vector<DecodeStream *> Solo = {&S};
+    while (decodeStepMany(Solo) > 0) {
+    }
+    Passes = S.I->Passes;
+    Projections = S.I->Projections;
+    Result = std::move(S.I->Result);
   } else {
     std::vector<int> Input = Src;
     if (static_cast<int>(Input.size()) > Config.MaxSrcLen)
@@ -708,6 +806,8 @@ CodeBE::Decoded CodeBE::generate(const std::vector<int> &Src,
       TensorPtr DecOut = runDecoder(Memory, DstIn);
       TensorPtr Logits =
           logitsFor(DecOut, Memory, Input, /*UseCombCache=*/true);
+      ++Passes;
+      ++Projections;
       double Prob = 1.0;
       int Best = chooseGreedy(Logits, Allowed, Plan, Step, WithProbs, Prob);
       if (Best < 0 || Best == Vocabulary.eosId())
@@ -720,6 +820,9 @@ CodeBE::Decoded CodeBE::generate(const std::vector<int> &Src,
   }
   auto &Metrics = obs::MetricsRegistry::instance();
   Metrics.addCounter("model.generate_calls");
+  Metrics.addCounter("model.decoder_passes", static_cast<uint64_t>(Passes));
+  Metrics.addCounter("model.vocab_projections",
+                     static_cast<uint64_t>(Projections));
   Metrics.observe("model.tokens_decoded",
                   static_cast<double>(Result.Tokens.size()), 0.0,
                   static_cast<double>(Config.MaxDstLen + 1), 16);
@@ -794,14 +897,9 @@ CodeBE::decodeBeam(const std::vector<int> &Src, int Width,
     // the greedy loop.
     if (Plan && static_cast<size_t>(Step) >= Plan->Steps.size())
       break;
-    const std::vector<int> *StepSet =
-        Plan && !Plan->Steps[static_cast<size_t>(Step)].empty()
-            ? &Plan->Steps[static_cast<size_t>(Step)]
-            : nullptr;
+    const std::vector<int> *StepSet = stepSetOf(Plan, Step);
     const std::map<int, float> *Bias =
-        StepSet && Plan->Bias.size() > static_cast<size_t>(Step)
-            ? &Plan->Bias[static_cast<size_t>(Step)]
-            : nullptr;
+        StepSet ? stepBiasOf(*Plan, Step) : nullptr;
 
     struct Expansion {
       size_t Parent;
@@ -909,7 +1007,7 @@ double CodeBE::exactMatch(const std::vector<TrainPair> &Data) {
     return 1.0;
   size_t Matches = 0;
   for (const TrainPair &Pair : Data) {
-    Decoded Out = generate(Pair.Src);
+    Decoded Out = generate(Pair.Src, nullptr, nullptr, /*WithProbs=*/false);
     std::vector<int> Expected = Pair.Dst;
     if (!Expected.empty() && Expected.back() == Vocabulary.eosId())
       Expected.pop_back();

@@ -87,7 +87,8 @@ public:
   /// softmax over the vocabulary at every step) is skipped and
   /// Decoded::Probs comes back empty; token choice is unaffected. Stage 3
   /// reads the confidence bucket, not the probabilities, so it decodes
-  /// with WithProbs=false.
+  /// with WithProbs=false. Such a decode also computes only what the
+  /// greedy choice reads (see beginDecode()).
   Decoded generate(const std::vector<int> &Src,
                    const std::vector<uint8_t> *Allowed = nullptr,
                    const DecodePlan *Plan = nullptr, bool WithProbs = true);
@@ -120,20 +121,29 @@ public:
   };
 
   /// Starts a stream for \p Src: runs the encoder, builds the
-  /// cross-attention projections and the KV scratch, and leaves the stream
-  /// ready for its first step. Streams always decode on the KV-cache path
-  /// (like decodeBeam), regardless of the DecodeMode knob. This is the
-  /// step-level multi-request decode entry point: callers may co-step many
-  /// streams through decodeStepMany(), and generate() itself is one stream
-  /// run to completion, so solo and co-batched decodes are the same code
-  /// path and byte-identical.
+  /// cross-attention projections and the KV scratch, records the plan's
+  /// last free position (the last whose set is not a singleton; an empty
+  /// set is free), and leaves the stream ready for its first step. Streams
+  /// always decode on the KV-cache path (like decodeBeam), regardless of
+  /// the DecodeMode knob. This is the step-level multi-request decode entry
+  /// point: callers may co-step many streams through decodeStepMany(), and
+  /// generate() itself is one stream run to completion, so solo and
+  /// co-batched decodes are the same code path and byte-identical.
+  ///
+  /// A stream without probabilities computes only what the greedy choice
+  /// reads. A pinned position after the last free one appends its token
+  /// with no decoder pass, since no later position attends over it; a
+  /// position with several admissible ids scores only those columns
+  /// instead of the 1×V logit row. Both choose the tokens a WithProbs
+  /// decode of the same plan chooses.
   DecodeStream beginDecode(const std::vector<int> &Src,
                            const std::vector<uint8_t> *Allowed = nullptr,
                            const DecodePlan *Plan = nullptr,
                            bool WithProbs = false);
 
   /// Advances every live stream in \p Streams by exactly one output
-  /// position — one KV-cached decoder pass per stream — retiring streams
+  /// position — at most one KV-cached decoder pass per stream, none at a
+  /// pinned position after the plan's last free one — retiring streams
   /// that end (EOS / plan exhausted / MaxDstLen). Done streams are skipped,
   /// so callers can admit new streams and retire finished ones between
   /// calls (continuous batching). Streams are independent: the result bytes
@@ -245,10 +255,21 @@ private:
   /// identically every step; presenceFor builds it once and logitsFor
   /// accepts it pre-computed (\p CachedPresence, matched on row count).
   TensorPtr presenceFor(int Rows, const std::vector<int> &SrcIds);
+  /// The copy head's attention over the encoder memory (one softmax row
+  /// per decoder row), before its mass is scattered onto source ids.
+  TensorPtr copyAttention(const TensorPtr &DecOut, const TensorPtr &Memory);
   TensorPtr logitsFor(const TensorPtr &DecOut, const TensorPtr &Memory,
                       const std::vector<int> &SrcIds, bool UseCombCache,
                       const TensorPtr &CachedPresence = nullptr,
                       const TensorPtr &CombOverride = nullptr);
+  /// chooseGreedy's choice over plan set \p Set for decoder row \p DecRow
+  /// without building the 1×V row: each in-range id's logit is computed
+  /// alone, byte-identical to that element of logitsFor's inference row.
+  /// Returns -1 when no id is in range.
+  int chooseByColumns(const TensorPtr &DecRow, const TensorPtr &Memory,
+                      const std::vector<int> &SrcIds,
+                      const std::vector<int> &Set,
+                      const std::map<int, float> *Bias);
   /// Builds the full differentiable tape for one training pair — the
   /// encoder/decoder/logits/loss slice the Trainer fans out per example.
   /// \p Comb is the batch-shared combined-embeddings node; returns the 1×1
@@ -261,10 +282,11 @@ private:
   int chooseGreedy(const TensorPtr &Logits, const std::vector<uint8_t> *Allowed,
                    const DecodePlan *Plan, int Step, bool WithProbs,
                    double &Prob) const;
-  /// Runs one KV-cached greedy step of \p D at plan position D.Step,
-  /// extending its cache and appending the chosen token to its result.
-  /// Returns true when the decode ended at this step (EOS, no admissible
-  /// token, or plan exhausted) — the caller must not continue it.
+  /// Runs one greedy step of \p D at plan position D.Step, extending its
+  /// cache when a later position reads it and appending the chosen token
+  /// to its result. Returns true when the decode ended at this step (EOS,
+  /// no admissible token, or plan exhausted) — the caller must not
+  /// continue it.
   bool decodeGreedyKV(DecodeStream::Impl &D);
   TensorPtr combinedEmbeddings();
   void refreshCombCache();

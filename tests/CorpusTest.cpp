@@ -158,8 +158,9 @@ TEST(Corpus, FunctionGroupsCoverTrainingTargets) {
   }
   // getRelocType applies to every training target.
   for (const FunctionGroup &G : Groups)
-    if (G.InterfaceName == "getRelocType")
+    if (G.InterfaceName == "getRelocType") {
       EXPECT_EQ(G.Members.size(), 21u);
+    }
 }
 
 TEST(Corpus, GoldenSourcesReparseToTheirOwnRender) {

@@ -72,10 +72,12 @@ TEST(ForkFlow, ForkedFixupsFailRegression) {
   BackendEval Eval = evaluateBackend(GB, *sharedCorpus().backend("RISCV"),
                                      *sharedCorpus().targets().find("RISCV"));
   for (const FunctionEval &F : Eval.Functions) {
-    if (F.InterfaceName == "getRelocType")
+    if (F.InterfaceName == "getRelocType") {
       EXPECT_FALSE(F.Accurate) << "renamed MIPS fixups cannot satisfy RISCV";
-    if (F.InterfaceName == "getNumFixupKinds")
+    }
+    if (F.InterfaceName == "getNumFixupKinds") {
       EXPECT_TRUE(F.Accurate) << "pure-structure functions port fine";
+    }
   }
 }
 

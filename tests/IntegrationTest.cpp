@@ -127,8 +127,9 @@ TEST(Integration, ConfidenceScoresAreBounded) {
     for (const GeneratedStatement &S : F.Statements) {
       EXPECT_GE(S.Confidence, 0.0);
       EXPECT_LE(S.Confidence, 1.0);
-      if (S.Emitted)
+      if (S.Emitted) {
         EXPECT_GE(S.Confidence, 0.5);
+      }
     }
   }
 }
@@ -206,7 +207,8 @@ TEST(Integration, WeightCacheRoundTrips) {
   ASSERT_EQ(A.Functions.size(), B.Functions.size());
   for (size_t I = 0; I < A.Functions.size(); ++I) {
     EXPECT_EQ(A.Functions[I].Emitted, B.Functions[I].Emitted);
-    if (A.Functions[I].Emitted && B.Functions[I].Emitted)
+    if (A.Functions[I].Emitted && B.Functions[I].Emitted) {
       EXPECT_EQ(A.Functions[I].AST.render(), B.Functions[I].AST.render());
+    }
   }
 }

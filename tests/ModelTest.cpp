@@ -9,6 +9,7 @@
 #include "model/CodeBE.h"
 #include "model/Trainer.h"
 #include "model/Vocab.h"
+#include "obs/Metrics.h"
 #include "support/BinaryIO.h"
 #include "support/RNG.h"
 #include "support/ThreadPool.h"
@@ -643,9 +644,10 @@ TEST(CodeBE, BeamWidthOneMatchesGreedyAndRanksDescend) {
     for (size_t I = 0; I < Four.size(); ++I) {
       EXPECT_EQ(Four[I].Tokens, FourAgain[I].Tokens) << "case " << Case;
       EXPECT_EQ(Four[I].Score, FourAgain[I].Score) << "case " << Case;
-      if (I > 0)
+      if (I > 0) {
         EXPECT_LE(Four[I].Score, Four[I - 1].Score)
             << "case " << Case << " rank " << I;
+      }
     }
     // Candidates are distinct statements, not duplicates.
     for (size_t I = 0; I < Four.size(); ++I)
@@ -980,6 +982,186 @@ TEST(CodeBE, PinnedStepSkipPreservesGreedyOutput) {
       EXPECT_TRUE(Skip.Probs.empty()) << "case " << Case;
       EXPECT_EQ(Full.Probs.size(), Full.Tokens.size()) << "case " << Case;
     }
+  }
+}
+
+namespace {
+
+/// Decoder passes and 1×V logit rows one generate() call runs, read from
+/// the model.decoder_passes and model.vocab_projections counters.
+struct DecodeWork {
+  uint64_t Passes = 0, Projections = 0;
+};
+
+DecodeWork workOf(const std::function<void()> &Decode) {
+  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::instance();
+  const bool WasEnabled = Metrics.enabled();
+  Metrics.setEnabled(true);
+  const uint64_t P0 = Metrics.counterValue("model.decoder_passes");
+  const uint64_t V0 = Metrics.counterValue("model.vocab_projections");
+  Decode();
+  DecodeWork W;
+  W.Passes = Metrics.counterValue("model.decoder_passes") - P0;
+  W.Projections = Metrics.counterValue("model.vocab_projections") - V0;
+  Metrics.setEnabled(WasEnabled);
+  return W;
+}
+
+} // namespace
+
+TEST(CodeBE, Stage3PlanDecodeComputesOnlyWhatTheChoiceReads) {
+  // Stage 3 decodes without probabilities under plans that pin the skeleton
+  // and leave the confidence bucket and the placeholders free. Such a decode
+  // runs no decoder pass after the plan's last free position and scores
+  // only the admissible columns at multi-id steps. It must choose exactly
+  // the tokens of a WithProbs decode and of the FullRecompute reference.
+  SharedDecodeModel &M = SharedDecodeModel::instance();
+  CodeBE &Model = *M.Model;
+  const Vocab &V = M.V;
+  auto W = [&](int I) { return V.idOf(M.Words[static_cast<size_t>(I)]); };
+  const int MaxDst = Model.config().MaxDstLen;
+  std::vector<int> Buckets;
+  for (int B = 0; B < Vocab::NumCsBuckets; ++B)
+    Buckets.push_back(V.csId(B));
+
+  // Free positions 0 (the 21 buckets) and 2 (biased candidates); the pinned
+  // tail after position 2 runs past MaxDstLen.
+  CodeBE::DecodePlan Tail;
+  Tail.Steps = {Buckets, {W(4)}, {W(1), W(2), W(9)}};
+  Tail.Bias.resize(Tail.Steps.size());
+  Tail.Bias[2][W(9)] = 0.5f;
+  for (int I = 0; I < MaxDst; ++I)
+    Tail.Steps.push_back({W(I)});
+  ASSERT_GT(static_cast<int>(Tail.Steps.size()), MaxDst);
+
+  // A bias that lifts a candidate above every raw logit, an out-of-range id
+  // inside a set, an empty (unconstrained) step under the Allowed mask, and
+  // [EOS] as a candidate.
+  CodeBE::DecodePlan Mixed;
+  Mixed.Steps = {Buckets,
+                 {static_cast<int>(V.size()) + 3, W(3), W(5), W(10)},
+                 {},
+                 {W(6)},
+                 {V.eosId(), W(8), W(11)},
+                 {W(2)}};
+  Mixed.Bias.resize(Mixed.Steps.size());
+  Mixed.Bias[1][W(10)] = 1000.0f;
+  Mixed.Bias[4][W(8)] = 0.25f;
+
+  // [EOS] pinned mid-plan, before the last free position and after it.
+  CodeBE::DecodePlan EosBeforeFree;
+  EosBeforeFree.Steps = {Buckets, {W(5)}, {V.eosId()}, {W(1), W(7)}, {W(0)}};
+  CodeBE::DecodePlan EosInTail;
+  EosInTail.Steps = {Buckets, {W(3), W(4)}, {W(6)}, {V.eosId()}, {W(0)}};
+  // The last free position is an empty step: it counts as free.
+  CodeBE::DecodePlan EmptyLast;
+  EmptyLast.Steps = {Buckets, {W(4)}, {}, {W(7)}, {W(0)}};
+
+  std::vector<uint8_t> Allowed(V.size(), 0);
+  for (int I : {2, 6, 9})
+    Allowed[static_cast<size_t>(W(I))] = 1;
+
+  // Candidates inside and outside the source, and repeated source tokens
+  // whose copy mass sums over two positions.
+  std::vector<std::vector<int>> Srcs = {{V.clsId(), W(1), W(9)},
+                                        {V.clsId(), W(7), W(7)},
+                                        {V.clsId(), W(2), W(5), W(2)},
+                                        {V.clsId(), W(0), W(11)},
+                                        {V.clsId(), W(10), W(3), W(10)}};
+  RNG Pick(67);
+  for (int I = 0; I < 4; ++I)
+    Srcs.push_back({V.clsId(), W(static_cast<int>(Pick.nextBelow(12))),
+                    W(static_cast<int>(Pick.nextBelow(12)))});
+
+  for (size_t SI = 0; SI < Srcs.size(); ++SI) {
+    const std::vector<int> &Src = Srcs[SI];
+    for (const CodeBE::DecodePlan *P :
+         {&Tail, &Mixed, &EosBeforeFree, &EosInTail, &EmptyLast}) {
+      CodeBE::Decoded Lean, Full, Ref;
+      DecodeWork LeanWork =
+          workOf([&] { Lean = Model.generate(Src, &Allowed, P, false); });
+      DecodeWork FullWork =
+          workOf([&] { Full = Model.generate(Src, &Allowed, P, true); });
+      Model.setDecodeMode(CodeBE::DecodeMode::FullRecompute);
+      Ref = Model.generate(Src, &Allowed, P, false);
+      Model.setDecodeMode(CodeBE::DecodeMode::KVCache);
+      EXPECT_EQ(Lean.Tokens, Full.Tokens) << "source " << SI;
+      EXPECT_EQ(Lean.Tokens, Ref.Tokens) << "source " << SI;
+      EXPECT_TRUE(Lean.Probs.empty()) << "source " << SI;
+      // With probabilities every position runs one pass and one projection.
+      EXPECT_EQ(FullWork.Passes, FullWork.Projections) << "source " << SI;
+      EXPECT_GE(FullWork.Passes, Full.Tokens.size()) << "source " << SI;
+      if (P == &Tail) {
+        // Last free position 2: passes at 0..2 only, and no 1×V row.
+        EXPECT_EQ(Lean.Tokens.size(), static_cast<size_t>(MaxDst))
+            << "source " << SI;
+        EXPECT_EQ(LeanWork.Passes, 3u) << "source " << SI;
+        EXPECT_EQ(LeanWork.Projections, 0u) << "source " << SI;
+        EXPECT_EQ(FullWork.Passes, static_cast<uint64_t>(MaxDst))
+            << "source " << SI;
+      }
+      if (P == &EosInTail) {
+        EXPECT_EQ(Lean.Tokens.size(), 3u) << "source " << SI;
+      }
+      if (P == &Mixed) {
+        ASSERT_GE(Lean.Tokens.size(), 2u) << "source " << SI;
+        EXPECT_EQ(Lean.Tokens[1], W(10)) << "source " << SI;
+        // The empty step is the only full-vocabulary one.
+        EXPECT_EQ(LeanWork.Projections, 1u) << "source " << SI;
+      }
+      if (P == &EmptyLast) {
+        EXPECT_EQ(LeanWork.Passes, 3u) << "source " << SI;
+        EXPECT_EQ(LeanWork.Projections, 1u) << "source " << SI;
+      }
+    }
+  }
+}
+
+TEST(CodeBE, AdmissibleColumnLogitsMatchTheRowBytes) {
+  // The column path must reproduce each logit bit for bit, not just the
+  // argmax. Bisect the bias on the second of two candidates to the exact
+  // float where a WithProbs decode (full 1×V row) switches to it; a decode
+  // without probabilities (columns only) must switch at the same float.
+  SharedDecodeModel &M = SharedDecodeModel::instance();
+  CodeBE &Model = *M.Model;
+  const Vocab &V = M.V;
+  auto W = [&](int I) { return V.idOf(M.Words[static_cast<size_t>(I)]); };
+
+  struct Case {
+    std::vector<int> Src;
+    int A, B;
+  };
+  // B repeated in the source (copy mass from two and three positions,
+  // presence still 1.0), B absent from it, and A absent while B is present.
+  std::vector<Case> Cases = {{{V.clsId(), W(3), W(8), W(8)}, W(3), W(8)},
+                             {{V.clsId(), W(8), W(3), W(8), W(1), W(8)},
+                              W(3),
+                              W(8)},
+                             {{V.clsId(), W(3), W(8), W(8)}, W(3), W(5)},
+                             {{V.clsId(), W(6), W(1), W(6)}, W(2), W(6)},
+                             {{V.clsId(), W(11), W(4)}, W(4), W(11)}};
+  for (size_t CI = 0; CI < Cases.size(); ++CI) {
+    const Case &C = Cases[CI];
+    CodeBE::DecodePlan Plan;
+    Plan.Steps = {{C.A, C.B}};
+    Plan.Bias.resize(1);
+    auto Choice = [&](float Bias, bool WithProbs) {
+      Plan.Bias[0][C.B] = Bias;
+      CodeBE::Decoded Out = Model.generate(C.Src, nullptr, &Plan, WithProbs);
+      return Out.Tokens.empty() ? -1 : Out.Tokens[0];
+    };
+    float Lo = -1000.0f, Hi = 1000.0f; // A wins at Lo, B wins at Hi
+    ASSERT_EQ(Choice(Lo, true), C.A) << "case " << CI;
+    ASSERT_EQ(Choice(Hi, true), C.B) << "case " << CI;
+    for (int Iter = 0; Iter < 400 && std::nextafter(Lo, Hi) != Hi; ++Iter) {
+      float Mid = Lo + (Hi - Lo) / 2.0f;
+      if (Mid <= Lo || Mid >= Hi)
+        Mid = std::nextafter(Lo, Hi);
+      (Choice(Mid, true) == C.A ? Lo : Hi) = Mid;
+    }
+    ASSERT_EQ(std::nextafter(Lo, Hi), Hi) << "case " << CI;
+    EXPECT_EQ(Choice(Lo, false), C.A) << "case " << CI << " bias " << Lo;
+    EXPECT_EQ(Choice(Hi, false), C.B) << "case " << CI << " bias " << Hi;
   }
 }
 

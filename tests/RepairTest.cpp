@@ -137,8 +137,9 @@ TEST(Repair, OracleGatedRepairNeverRegresses) {
     if (WasRepaired)
       continue;
     EXPECT_EQ(Base.Emitted, Rep.Emitted) << Base.InterfaceName;
-    if (Base.Emitted)
+    if (Base.Emitted) {
       EXPECT_EQ(Base.AST.render(), Rep.AST.render()) << Base.InterfaceName;
+    }
   }
 }
 

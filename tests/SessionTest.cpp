@@ -86,7 +86,7 @@ TEST(SessionCheckpoint, RoundTripGeneratesIdenticalBackends) {
   StatusOr<std::unique_ptr<VegaSystem>> Restored =
       SessionCheckpoint::restore(VegaSession::standardCorpus(), artifactBlob());
   ASSERT_TRUE(Restored.isOk()) << Restored.status().toString();
-  for (const std::string &Target : {"RISCV", "RI5CY", "XCORE"}) {
+  for (const char *Target : {"RISCV", "RI5CY", "XCORE"}) {
     GeneratedBackend Cold = session().system().generateBackend(Target);
     GeneratedBackend Warm = (*Restored)->generateBackend(Target);
     EXPECT_EQ(render(Cold), render(Warm)) << "target " << Target;

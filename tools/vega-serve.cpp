@@ -11,8 +11,8 @@
 /// decode-step scheduler. See README "Serving" for the wire protocol and
 /// request examples:
 ///
-///   printf '%s\n' '{"id":1,"method":"generate","params":{"target":"RISCV"}}' \
-///     | vega-serve --session=warm.vega
+///   printf '%s\n' '{"id":1,"method":"generate","params":{"target":"RISCV"}}' |
+///     vega-serve --session=warm.vega
 ///
 /// With --router the process becomes a fleet front-end instead: shards are
 /// other vega-serve daemons behind AF_UNIX sockets (repeatable
