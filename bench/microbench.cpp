@@ -7,8 +7,8 @@
 ///
 /// Microbenchmarks for the hot kernels behind the figures: lexing, GumTree
 /// matching, templatization, Algorithm-1 harvesting, interpretation, the
-/// inference GEMM kernels, and CodeBE decoding. These are throughput
-/// numbers, not paper results.
+/// inference GEMM kernels, and CodeBE encoding and decoding. These are
+/// throughput numbers, not paper results.
 ///
 /// `microbench --inference-report=<file>.json` additionally measures the
 /// inference stack end to end (GEMM GFLOP/s against the naive loop and at
@@ -232,9 +232,10 @@ BENCHMARK_CAPTURE(BM_Gemm, tnaccum_48x64x192, GemmCases[5]);
 /// random weights. Stage3Plan has Stage 3's shape instead: the confidence
 /// buckets, two pinned skeleton tokens, one placeholder choosing among six
 /// candidates (one biased), then a pinned tail — 9 tokens, none of them
-/// [EOS].
+/// [EOS]. Sources up to 48 tokens encode untruncated.
 struct DecodeFixture {
   Vocab V;
+  std::vector<int> Words;
   std::unique_ptr<CodeBE> Model;
   std::vector<int> Src;
   CodeBE::DecodePlan Plan;
@@ -242,11 +243,10 @@ struct DecodeFixture {
   CodeBE::DecodePlan Stage3Plan;
 
   DecodeFixture() {
-    std::vector<int> Words;
     for (int I = 0; I < 40; ++I)
       Words.push_back(V.addToken("tok" + std::to_string(I)));
     CodeBEConfig C;
-    C.MaxSrcLen = 16;
+    C.MaxSrcLen = 48;
     C.MaxDstLen = 48;
     Model = std::make_unique<CodeBE>(V, C);
     Src = {V.clsId(), Words[3], Words[7], Words[11]};
@@ -305,6 +305,20 @@ void BM_DecodeStage3Plan(benchmark::State &State) {
                           static_cast<int64_t>(F.Stage3Plan.Steps.size()));
 }
 BENCHMARK(BM_DecodeStage3Plan);
+
+/// One Stage-3 row's encoder work: beginDecode runs the encoder over a
+/// source of Arg tokens and projects the cross-attention keys and values.
+/// 16, 28 and 41 tokens bracket the sources Stage 3 encodes.
+void BM_EncodeSource(benchmark::State &State) {
+  DecodeFixture &F = DecodeFixture::instance();
+  std::vector<int> Src = {F.V.clsId()};
+  while (Src.size() < static_cast<size_t>(State.range(0)))
+    Src.push_back(F.Words[(Src.size() * 7) % F.Words.size()]);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(F.Model->beginDecode(Src));
+  State.SetItemsProcessed(State.iterations() * State.range(0));
+}
+BENCHMARK(BM_EncodeSource)->Arg(16)->Arg(28)->Arg(41);
 
 // ---- Training throughput ------------------------------------------------
 

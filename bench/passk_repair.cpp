@@ -109,6 +109,7 @@ int main(int argc, char **argv) {
 
   Json Doc = Json::object();
   Doc.set("schema", "vega-repair-bench-1");
+  Doc.set("host", bench::hostInfo());
   Json Options = Json::object();
   Options.set("beamWidth", Opts.BeamWidth);
   Options.set("maxRounds", Opts.MaxRounds);

@@ -143,6 +143,7 @@ int main(int argc, char **argv) {
   }
   if (!HadTargets) {
     // passk_repair has not written its report yet: emit a standalone sweep.
+    Doc.set("host", bench::hostInfo());
     Doc.set("epochs", bench::defaultEpochs());
     Json Targets = Json::array();
     for (const auto &[Target, Cmp] : Comparisons) {

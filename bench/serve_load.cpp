@@ -328,6 +328,7 @@ int main(int argc, char **argv) {
 
   Json Doc = Json::object();
   Doc.set("schema", "vega-serve-bench-2");
+  Doc.set("host", bench::hostInfo());
   Doc.set("epochs", bench::defaultEpochs());
   Doc.set("window", ServerOpts.Window);
   Doc.set("maxQueue", ServerOpts.MaxQueue);

@@ -413,6 +413,201 @@ const char *vega::detail::gemmVariant() {
 #endif
 }
 
+// ---- Forward kernels of the other ops ------------------------------------
+//
+// The same idiom and the same rule as the GEMM kernels: vectorize across
+// independent elements and rows, eight at a time, and never reorder a chain.
+// Every output element runs the float operations the scalar loop ran, in the
+// same order:
+// - add, addRow, scale, scaleByScalar and relu do one IEEE operation per
+//   element, so any vector width gives the same bytes. relu is the select
+//   a > 0 ? a : 0, so NaN and -0.0f still map to +0.0f.
+// - softmaxRows vectorizes the mask add (a + 0.0f without a mask) and the
+//   final true division by the row sum. The max scan and the exp/sum chain
+//   stay scalar in ascending column order: a vector exp would not reproduce
+//   libm's expf bytes.
+// - layerNorm keeps each row's mean and variance as one ascending chain from
+//   0.0f, four rows' chains interleaved, and vectorizes the normalise step.
+// - sparseMix vectorizes across columns and adds the pieces in list order.
+// gatherRows, sliceCols and concatCols are row copies and need no kernel.
+// The kernels write into the op's fresh output tensor and allocate nothing.
+
+namespace {
+
+/// Mean and 1/sqrt(var + 1e-5) of the NR rows at \p X (row stride \p C).
+/// Each row's sum and sum of squares is one chain from 0.0f in ascending
+/// column order; the NR rows' chains are independent and interleave, so
+/// they are bound by throughput instead of add latency. Every NR runs the
+/// same per-row operations, so a row's bytes do not depend on which rows
+/// share its block.
+template <int NR>
+[[gnu::always_inline]] inline void rowMoments(const float *X, int C,
+                                              float *Mean, float *InvStd) {
+  const size_t CS = static_cast<size_t>(C);
+  float Mu[NR], Var[NR];
+#pragma GCC unroll 4
+  for (int R = 0; R < NR; ++R)
+    Mu[R] = 0.0f;
+  for (int J = 0; J < C; ++J)
+#pragma GCC unroll 4
+    for (int R = 0; R < NR; ++R)
+      Mu[R] += X[R * CS + J];
+#pragma GCC unroll 4
+  for (int R = 0; R < NR; ++R) {
+    Mu[R] /= C;
+    Var[R] = 0.0f;
+  }
+  for (int J = 0; J < C; ++J)
+#pragma GCC unroll 4
+    for (int R = 0; R < NR; ++R) {
+      const float D = X[R * CS + J] - Mu[R];
+      Var[R] += D * D;
+    }
+#pragma GCC unroll 4
+  for (int R = 0; R < NR; ++R) {
+    Var[R] /= C;
+    Mean[R] = Mu[R];
+    InvStd[R] = 1.0f / std::sqrt(Var[R] + 1e-5f);
+  }
+}
+
+} // namespace
+
+// Only this file calls the forward kernels, so they have internal linkage;
+// they sit in vega::detail beside the GEMM kernels, where CI's object check
+// finds every kernel and its .avx2 clone.
+namespace vega::detail {
+namespace {
+
+/// Out[r][c] = A[r][c] + B[c] over a Rows×Cols block: addRow, and add as
+/// one row spanning both tensors.
+VEGA_KERNEL_CLONES
+void addRowsForward(const float *A, const float *B, float *Out, size_t Rows,
+                    size_t Cols) {
+  for (size_t R = 0; R < Rows; ++R) {
+    const float *AR = A + R * Cols;
+    float *OR = Out + R * Cols;
+    size_t J = 0;
+    for (; J + 8 <= Cols; J += 8)
+      *vec8(OR + J) = *vec8(AR + J) + *vec8(B + J);
+    for (; J < Cols; ++J)
+      OR[J] = AR[J] + B[J];
+  }
+}
+
+/// Out[i] = A[i] · Factor: scale and scaleByScalar.
+VEGA_KERNEL_CLONES
+void scaleForward(const float *A, float Factor, float *Out, size_t N) {
+  size_t I = 0;
+  for (; I + 8 <= N; I += 8)
+    *vec8(Out + I) = *vec8(A + I) * Factor;
+  for (; I < N; ++I)
+    Out[I] = A[I] * Factor;
+}
+
+/// Out[i] = A[i] > 0 ? A[i] : 0.
+VEGA_KERNEL_CLONES
+void reluForward(const float *A, float *Out, size_t N) {
+  const V8 Zero = {};
+  size_t I = 0;
+  for (; I + 8 <= N; I += 8) {
+    const V8 X = *vec8(A + I);
+    *vec8(Out + I) = X > Zero ? X : Zero;
+  }
+  for (; I < N; ++I)
+    Out[I] = A[I] > 0.0f ? A[I] : 0.0f;
+}
+
+/// Row-wise softmax of A + Mask (A + 0.0f when \p Mask is null). The
+/// masked scores are staged in the output row.
+VEGA_KERNEL_CLONES
+void softmaxForward(const float *A, const float *Mask, float *Out, int Rows,
+                    int Cols) {
+  const size_t C = static_cast<size_t>(Cols);
+  for (int I = 0; I < Rows; ++I) {
+    const float *AI = A + I * C;
+    float *OI = Out + I * C;
+    size_t J = 0;
+    if (Mask) {
+      const float *MI = Mask + I * C;
+      for (; J + 8 <= C; J += 8)
+        *vec8(OI + J) = *vec8(AI + J) + *vec8(MI + J);
+      for (; J < C; ++J)
+        OI[J] = AI[J] + MI[J];
+    } else {
+      const V8 Zero = {};
+      for (; J + 8 <= C; J += 8)
+        *vec8(OI + J) = *vec8(AI + J) + Zero;
+      for (; J < C; ++J)
+        OI[J] = AI[J] + 0.0f;
+    }
+    float Max = -1e30f;
+    for (J = 0; J < C; ++J)
+      Max = std::max(Max, OI[J]);
+    float Sum = 0.0f;
+    for (J = 0; J < C; ++J) {
+      const float E = std::exp(OI[J] - Max);
+      OI[J] = E;
+      Sum += E;
+    }
+    for (J = 0; J + 8 <= C; J += 8)
+      *vec8(OI + J) = *vec8(OI + J) / Sum;
+    for (; J < C; ++J)
+      OI[J] /= Sum;
+  }
+}
+
+/// Row-wise layer norm: Out = ((x − μ)·inv)·γ + β, with each row's μ and
+/// inv also written to \p Mean and \p InvStd for the backward pass.
+VEGA_KERNEL_CLONES
+void layerNormForward(const float *X, const float *Gamma, const float *Beta,
+                      float *Out, float *Mean, float *InvStd, int Rows,
+                      int Cols) {
+  const size_t C = static_cast<size_t>(Cols);
+  int I = 0;
+  for (; I + 4 <= Rows; I += 4)
+    rowMoments<4>(X + I * C, Cols, Mean + I, InvStd + I);
+  for (; I < Rows; ++I)
+    rowMoments<1>(X + I * C, Cols, Mean + I, InvStd + I);
+  for (I = 0; I < Rows; ++I) {
+    const float *XI = X + I * C;
+    float *OI = Out + I * C;
+    const float Mu = Mean[I], Inv = InvStd[I];
+    size_t J = 0;
+    for (; J + 8 <= C; J += 8)
+      *vec8(OI + J) =
+          (*vec8(XI + J) - Mu) * Inv * *vec8(Gamma + J) + *vec8(Beta + J);
+    for (; J < C; ++J)
+      OI[J] = (XI[J] - Mu) * Inv * Gamma[J] + Beta[J];
+  }
+}
+
+/// Out[i] += mean over Lists[i] of E's rows (row width \p Cols), the
+/// pieces added in list order; Out holds zeros on entry.
+VEGA_KERNEL_CLONES
+void sparseMixForward(const float *E, int Cols,
+                      const std::vector<std::vector<int>> &Lists,
+                      float *Out) {
+  const size_t C = static_cast<size_t>(Cols);
+  for (size_t I = 0; I < Lists.size(); ++I) {
+    if (Lists[I].empty())
+      continue;
+    const float Inv = 1.0f / static_cast<float>(Lists[I].size());
+    float *OI = Out + I * C;
+    for (int P : Lists[I]) {
+      const float *EP = E + static_cast<size_t>(P) * C;
+      size_t J = 0;
+      for (; J + 8 <= C; J += 8)
+        *vec8(OI + J) += *vec8(EP + J) * Inv;
+      for (; J < C; ++J)
+        OI[J] += EP[J] * Inv;
+    }
+  }
+}
+
+} // namespace
+} // namespace vega::detail
+
 TensorPtr vega::matmul(const TensorPtr &A, const TensorPtr &B) {
   assert(A->Cols == B->Rows && "matmul shape mismatch");
   TensorPtr Out = makeResult(A->Rows, B->Cols, {A, B});
@@ -450,8 +645,8 @@ TensorPtr vega::matmulNT(const TensorPtr &A, const TensorPtr &B) {
 TensorPtr vega::add(const TensorPtr &A, const TensorPtr &B) {
   assert(A->Rows == B->Rows && A->Cols == B->Cols && "add shape mismatch");
   TensorPtr Out = makeResult(A->Rows, A->Cols, {A, B});
-  for (size_t I = 0; I < Out->Data.size(); ++I)
-    Out->Data[I] = A->Data[I] + B->Data[I];
+  detail::addRowsForward(A->Data.data(), B->Data.data(), Out->Data.data(), 1,
+                         Out->Data.size());
   Tensor *AP = A.get(), *BP = B.get(), *OP = Out.get();
   if (Out->RequiresGrad)
     Out->Backward = [AP, BP, OP] {
@@ -468,9 +663,9 @@ TensorPtr vega::add(const TensorPtr &A, const TensorPtr &B) {
 TensorPtr vega::addRow(const TensorPtr &A, const TensorPtr &B) {
   assert(B->Rows == 1 && B->Cols == A->Cols && "addRow shape mismatch");
   TensorPtr Out = makeResult(A->Rows, A->Cols, {A, B});
-  for (int I = 0; I < A->Rows; ++I)
-    for (int J = 0; J < A->Cols; ++J)
-      Out->at(I, J) = A->at(I, J) + B->Data[static_cast<size_t>(J)];
+  detail::addRowsForward(A->Data.data(), B->Data.data(), Out->Data.data(),
+                         static_cast<size_t>(A->Rows),
+                         static_cast<size_t>(A->Cols));
   Tensor *AP = A.get(), *BP = B.get(), *OP = Out.get();
   if (Out->RequiresGrad)
     Out->Backward = [AP, BP, OP] {
@@ -488,8 +683,8 @@ TensorPtr vega::addRow(const TensorPtr &A, const TensorPtr &B) {
 
 TensorPtr vega::scale(const TensorPtr &A, float Factor) {
   TensorPtr Out = makeResult(A->Rows, A->Cols, {A});
-  for (size_t I = 0; I < A->Data.size(); ++I)
-    Out->Data[I] = A->Data[I] * Factor;
+  detail::scaleForward(A->Data.data(), Factor, Out->Data.data(),
+                       A->Data.size());
   Tensor *AP = A.get(), *OP = Out.get();
   if (Out->RequiresGrad)
     Out->Backward = [AP, OP, Factor] {
@@ -505,8 +700,8 @@ TensorPtr vega::scaleByScalar(const TensorPtr &A, const TensorPtr &S) {
   assert(S->Rows == 1 && S->Cols == 1 && "scalar expected");
   TensorPtr Out = makeResult(A->Rows, A->Cols, {A, S});
   float Factor = S->Data[0];
-  for (size_t I = 0; I < A->Data.size(); ++I)
-    Out->Data[I] = A->Data[I] * Factor;
+  detail::scaleForward(A->Data.data(), Factor, Out->Data.data(),
+                       A->Data.size());
   Tensor *AP = A.get(), *SP = S.get(), *OP = Out.get();
   if (Out->RequiresGrad)
     Out->Backward = [AP, SP, OP, Factor] {
@@ -524,8 +719,7 @@ TensorPtr vega::scaleByScalar(const TensorPtr &A, const TensorPtr &S) {
 
 TensorPtr vega::relu(const TensorPtr &A) {
   TensorPtr Out = makeResult(A->Rows, A->Cols, {A});
-  for (size_t I = 0; I < A->Data.size(); ++I)
-    Out->Data[I] = A->Data[I] > 0.0f ? A->Data[I] : 0.0f;
+  detail::reluForward(A->Data.data(), Out->Data.data(), A->Data.size());
   Tensor *AP = A.get(), *OP = Out.get();
   if (Out->RequiresGrad)
     Out->Backward = [AP, OP] {
@@ -540,22 +734,8 @@ TensorPtr vega::relu(const TensorPtr &A) {
 
 TensorPtr vega::softmaxRows(const TensorPtr &A, const Tensor *Mask) {
   TensorPtr Out = makeResult(A->Rows, A->Cols, {A});
-  for (int I = 0; I < A->Rows; ++I) {
-    float Max = -1e30f;
-    for (int J = 0; J < A->Cols; ++J) {
-      float V = A->at(I, J) + (Mask ? Mask->at(I, J) : 0.0f);
-      Max = std::max(Max, V);
-    }
-    float Sum = 0.0f;
-    for (int J = 0; J < A->Cols; ++J) {
-      float V = A->at(I, J) + (Mask ? Mask->at(I, J) : 0.0f);
-      float E = std::exp(V - Max);
-      Out->at(I, J) = E;
-      Sum += E;
-    }
-    for (int J = 0; J < A->Cols; ++J)
-      Out->at(I, J) /= Sum;
-  }
+  detail::softmaxForward(A->Data.data(), Mask ? Mask->Data.data() : nullptr,
+                         Out->Data.data(), A->Rows, A->Cols);
   Tensor *AP = A.get(), *OP = Out.get();
   if (Out->RequiresGrad)
     Out->Backward = [AP, OP] {
@@ -582,25 +762,9 @@ TensorPtr vega::layerNorm(const TensorPtr &X, const TensorPtr &Gamma,
   TensorPtr Out = makeResult(X->Rows, X->Cols, {X, Gamma, Beta});
   const int C = X->Cols;
   std::vector<float> Mean(X->Rows), InvStd(X->Rows);
-  for (int I = 0; I < X->Rows; ++I) {
-    float Mu = 0.0f;
-    for (int J = 0; J < C; ++J)
-      Mu += X->at(I, J);
-    Mu /= C;
-    float Var = 0.0f;
-    for (int J = 0; J < C; ++J) {
-      float D = X->at(I, J) - Mu;
-      Var += D * D;
-    }
-    Var /= C;
-    float Inv = 1.0f / std::sqrt(Var + 1e-5f);
-    Mean[I] = Mu;
-    InvStd[I] = Inv;
-    for (int J = 0; J < C; ++J)
-      Out->at(I, J) =
-          (X->at(I, J) - Mu) * Inv * Gamma->Data[static_cast<size_t>(J)] +
-          Beta->Data[static_cast<size_t>(J)];
-  }
+  detail::layerNormForward(X->Data.data(), Gamma->Data.data(),
+                           Beta->Data.data(), Out->Data.data(), Mean.data(),
+                           InvStd.data(), X->Rows, C);
   Tensor *XP = X.get(), *GP = Gamma.get(), *BP = Beta.get(), *OP = Out.get();
   if (Out->RequiresGrad)
     Out->Backward = [XP, GP, BP, OP, Mean, InvStd, C] {
@@ -634,10 +798,11 @@ TensorPtr vega::layerNorm(const TensorPtr &X, const TensorPtr &Gamma,
 
 TensorPtr vega::gatherRows(const TensorPtr &E, const std::vector<int> &Ids) {
   TensorPtr Out = makeResult(static_cast<int>(Ids.size()), E->Cols, {E});
+  const size_t C = static_cast<size_t>(E->Cols);
   for (size_t I = 0; I < Ids.size(); ++I) {
     assert(Ids[I] >= 0 && Ids[I] < E->Rows && "gather index out of range");
-    for (int J = 0; J < E->Cols; ++J)
-      Out->at(static_cast<int>(I), J) = E->at(Ids[I], J);
+    std::copy_n(E->Data.data() + static_cast<size_t>(Ids[I]) * C, C,
+                Out->Data.data() + I * C);
   }
   Tensor *EP = E.get(), *OP = Out.get();
   if (Out->RequiresGrad)
@@ -656,8 +821,8 @@ TensorPtr vega::sliceCols(const TensorPtr &A, int Start, int Count) {
   assert(Start >= 0 && Start + Count <= A->Cols && "slice out of range");
   TensorPtr Out = makeResult(A->Rows, Count, {A});
   for (int I = 0; I < A->Rows; ++I)
-    for (int J = 0; J < Count; ++J)
-      Out->at(I, J) = A->at(I, Start + J);
+    std::copy_n(A->Data.data() + static_cast<size_t>(I) * A->Cols + Start,
+                Count, Out->Data.data() + static_cast<size_t>(I) * Count);
   Tensor *AP = A.get(), *OP = Out.get();
   if (Out->RequiresGrad)
     Out->Backward = [AP, OP, Start, Count] {
@@ -683,8 +848,8 @@ TensorPtr vega::concatCols(const std::vector<TensorPtr> &Parts) {
   int Offset = 0;
   for (const TensorPtr &P : Parts) {
     for (int I = 0; I < Rows; ++I)
-      for (int J = 0; J < P->Cols; ++J)
-        Out->at(I, Offset + J) = P->at(I, J);
+      std::copy_n(P->Data.data() + static_cast<size_t>(I) * P->Cols, P->Cols,
+                  Out->Data.data() + static_cast<size_t>(I) * Cols + Offset);
     Offset += P->Cols;
   }
   if (Out->RequiresGrad) {
@@ -732,14 +897,7 @@ TensorPtr vega::copyScatter(const TensorPtr &A, const std::vector<int> &SrcIds,
 TensorPtr vega::sparseMix(const TensorPtr &E,
                           const std::vector<std::vector<int>> &Lists) {
   TensorPtr Out = makeResult(static_cast<int>(Lists.size()), E->Cols, {E});
-  for (size_t I = 0; I < Lists.size(); ++I) {
-    if (Lists[I].empty())
-      continue;
-    float Inv = 1.0f / static_cast<float>(Lists[I].size());
-    for (int P : Lists[I])
-      for (int J = 0; J < E->Cols; ++J)
-        Out->at(static_cast<int>(I), J) += E->at(P, J) * Inv;
-  }
+  detail::sparseMixForward(E->Data.data(), E->Cols, Lists, Out->Data.data());
   Tensor *EP = E.get(), *OP = Out.get();
   // The closure keeps its own copy: callers' lists need not outlive the
   // tape.

@@ -450,6 +450,259 @@ TEST(Kernels, ZeroSkipNeverMultipliesInf) {
       }
 }
 
+// ---- Forward ops vs the scalar loops they replaced, byte for byte ----
+
+namespace {
+
+// The scalar forward bodies the vectorized kernels must reproduce bit for
+// bit. As in the GEMM references, a product that feeds an add is its own
+// statement, so no compiler contracts it into a fused multiply-add.
+
+std::vector<float> refAdd(const Tensor &A, const Tensor &B) {
+  std::vector<float> Out(A.size());
+  for (size_t I = 0; I < Out.size(); ++I)
+    Out[I] = A.Data[I] + B.Data[I];
+  return Out;
+}
+
+std::vector<float> refAddRow(const Tensor &A, const Tensor &B) {
+  std::vector<float> Out(A.size());
+  for (int I = 0; I < A.Rows; ++I)
+    for (int J = 0; J < A.Cols; ++J)
+      Out[static_cast<size_t>(I) * A.Cols + J] =
+          A.at(I, J) + B.Data[static_cast<size_t>(J)];
+  return Out;
+}
+
+std::vector<float> refScale(const Tensor &A, float Factor) {
+  std::vector<float> Out(A.size());
+  for (size_t I = 0; I < Out.size(); ++I)
+    Out[I] = A.Data[I] * Factor;
+  return Out;
+}
+
+std::vector<float> refRelu(const Tensor &A) {
+  std::vector<float> Out(A.size());
+  for (size_t I = 0; I < Out.size(); ++I)
+    Out[I] = A.Data[I] > 0.0f ? A.Data[I] : 0.0f;
+  return Out;
+}
+
+std::vector<float> refSoftmaxRows(const Tensor &A, const Tensor *Mask) {
+  std::vector<float> Out(A.size());
+  auto O = [&](int I, int J) -> float & {
+    return Out[static_cast<size_t>(I) * A.Cols + J];
+  };
+  for (int I = 0; I < A.Rows; ++I) {
+    float Max = -1e30f;
+    for (int J = 0; J < A.Cols; ++J) {
+      float V = A.at(I, J) + (Mask ? Mask->at(I, J) : 0.0f);
+      Max = std::max(Max, V);
+    }
+    float Sum = 0.0f;
+    for (int J = 0; J < A.Cols; ++J) {
+      float V = A.at(I, J) + (Mask ? Mask->at(I, J) : 0.0f);
+      float E = std::exp(V - Max);
+      O(I, J) = E;
+      Sum += E;
+    }
+    for (int J = 0; J < A.Cols; ++J)
+      O(I, J) /= Sum;
+  }
+  return Out;
+}
+
+std::vector<float> refLayerNorm(const Tensor &X, const Tensor &Gamma,
+                                const Tensor &Beta) {
+  std::vector<float> Out(X.size());
+  const int C = X.Cols;
+  for (int I = 0; I < X.Rows; ++I) {
+    float Mu = 0.0f;
+    for (int J = 0; J < C; ++J)
+      Mu += X.at(I, J);
+    Mu /= C;
+    float Var = 0.0f;
+    for (int J = 0; J < C; ++J) {
+      float D = X.at(I, J) - Mu;
+      const float Sq = D * D;
+      Var += Sq;
+    }
+    Var /= C;
+    float Inv = 1.0f / std::sqrt(Var + 1e-5f);
+    for (int J = 0; J < C; ++J) {
+      const float Scaled =
+          (X.at(I, J) - Mu) * Inv * Gamma.Data[static_cast<size_t>(J)];
+      Out[static_cast<size_t>(I) * C + J] =
+          Scaled + Beta.Data[static_cast<size_t>(J)];
+    }
+  }
+  return Out;
+}
+
+std::vector<float> refGatherRows(const Tensor &E, const std::vector<int> &Ids) {
+  std::vector<float> Out(Ids.size() * static_cast<size_t>(E.Cols));
+  for (size_t I = 0; I < Ids.size(); ++I)
+    for (int J = 0; J < E.Cols; ++J)
+      Out[I * E.Cols + J] = E.at(Ids[I], J);
+  return Out;
+}
+
+std::vector<float> refSliceCols(const Tensor &A, int Start, int Count) {
+  std::vector<float> Out(static_cast<size_t>(A.Rows) * Count);
+  for (int I = 0; I < A.Rows; ++I)
+    for (int J = 0; J < Count; ++J)
+      Out[static_cast<size_t>(I) * Count + J] = A.at(I, Start + J);
+  return Out;
+}
+
+std::vector<float> refConcatCols(const std::vector<TensorPtr> &Parts) {
+  int Rows = Parts.front()->Rows, Cols = 0;
+  for (const TensorPtr &P : Parts)
+    Cols += P->Cols;
+  std::vector<float> Out(static_cast<size_t>(Rows) * Cols);
+  int Offset = 0;
+  for (const TensorPtr &P : Parts) {
+    for (int I = 0; I < Rows; ++I)
+      for (int J = 0; J < P->Cols; ++J)
+        Out[static_cast<size_t>(I) * Cols + Offset + J] = P->at(I, J);
+    Offset += P->Cols;
+  }
+  return Out;
+}
+
+std::vector<float> refSparseMix(const Tensor &E,
+                                const std::vector<std::vector<int>> &Lists) {
+  std::vector<float> Out(Lists.size() * static_cast<size_t>(E.Cols), 0.0f);
+  for (size_t I = 0; I < Lists.size(); ++I) {
+    if (Lists[I].empty())
+      continue;
+    float Inv = 1.0f / static_cast<float>(Lists[I].size());
+    for (int P : Lists[I])
+      for (int J = 0; J < E.Cols; ++J) {
+        const float Piece = E.at(P, J) * Inv;
+        Out[I * E.Cols + J] += Piece;
+      }
+  }
+  return Out;
+}
+
+/// A seeded Rows×Cols operand (a leaf that requires grad when \p Taped):
+/// values in [-2, 2) with ±0.0f and denormals mixed in, and each of
+/// \p Specials at about 3% of the entries.
+TensorPtr forwardOperand(int Rows, int Cols, uint64_t Seed, bool Taped,
+                         const std::vector<float> &Specials) {
+  TensorPtr T = makeTensor(Rows, Cols, Taped);
+  RNG Rng(Seed);
+  for (float &X : T->Data) {
+    const double U = Rng.nextDouble();
+    if (U < 0.04)
+      X = 0.0f;
+    else if (U < 0.08)
+      X = -0.0f;
+    else if (U < 0.12)
+      X = static_cast<float>(Rng.nextDouble(-1e-38, 1e-38));
+    else if (!Specials.empty() && U < 0.12 + 0.03 * Specials.size())
+      X = Specials[Rng.nextBelow(Specials.size())];
+    else
+      X = static_cast<float>(Rng.nextDouble(-2.0, 2.0));
+  }
+  return T;
+}
+
+} // namespace
+
+TEST(Kernels, ForwardOpsMatchScalarLoops) {
+  // Every op is checked at row counts around the layerNorm four-row blocks
+  // and column counts around the 8-wide vector tails, on a tape and under
+  // a NoGradGuard. The elementwise ops, the row copies and sparseMix also
+  // see NaN and ±inf. softmaxRows sees -inf (exp(-inf) is 0) and, in its
+  // masked run, a causal -1e9 mask; layerNorm sees finite rows only.
+  // Operands carry one NaN payload, so no result depends on which operand
+  // of a commutative op the compiler loads first.
+  const float Inf = std::numeric_limits<float>::infinity();
+  const float NaN = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> AllSpecials = {NaN, Inf, -Inf};
+  const int RowCounts[] = {1, 2, 3, 4, 5, 7, 8, 9, 28, 41, 48};
+  const int ColCounts[] = {1, 7, 8, 9, 15, 16, 17, 28, 64, 65, 192, 257};
+  int Mismatches = 0;
+  auto Check = [&](const char *Op, const TensorPtr &Got,
+                   const std::vector<float> &Want, int R, int C,
+                   bool Taped) {
+    EXPECT_EQ(Got->RequiresGrad, Taped) << Op;
+    if (Got->Data.size() != Want.size() ||
+        std::memcmp(Got->Data.data(), Want.data(),
+                    Want.size() * sizeof(float)) != 0) {
+      if (++Mismatches <= 5)
+        ADD_FAILURE() << Op << " differs from the scalar loop at rows=" << R
+                      << " cols=" << C << (Taped ? " on a tape" : " no-grad");
+    }
+  };
+  auto RunAll = [&](bool Taped) {
+    for (int R : RowCounts)
+      for (int C : ColCounts) {
+        const uint64_t Seed = static_cast<uint64_t>(R) * 1000003u +
+                              static_cast<uint64_t>(C) * 1009u;
+        TensorPtr A = forwardOperand(R, C, Seed, Taped, AllSpecials);
+        TensorPtr B = forwardOperand(R, C, Seed + 1, Taped, AllSpecials);
+        TensorPtr Row = forwardOperand(1, C, Seed + 2, Taped, AllSpecials);
+        Check("add", add(A, B), refAdd(*A, *B), R, C, Taped);
+        Check("addRow", addRow(A, Row), refAddRow(*A, *Row), R, C, Taped);
+        Check("scale", scale(A, -1.7f), refScale(*A, -1.7f), R, C, Taped);
+        TensorPtr S = makeTensor(1, 1, Taped);
+        S->Data[0] = 0.3f;
+        Check("scaleByScalar", scaleByScalar(A, S), refScale(*A, 0.3f), R, C,
+              Taped);
+        Check("relu", relu(A), refRelu(*A), R, C, Taped);
+
+        TensorPtr Scores = forwardOperand(R, C, Seed + 4, Taped, {-Inf});
+        Tensor Causal(R, C, /*RequiresGrad=*/false);
+        for (int I = 0; I < R; ++I)
+          for (int J = I + 1; J < C; ++J)
+            Causal.at(I, J) = -1e9f;
+        Check("softmaxRows", softmaxRows(Scores),
+              refSoftmaxRows(*Scores, nullptr), R, C, Taped);
+        Check("softmaxRows+mask", softmaxRows(Scores, &Causal),
+              refSoftmaxRows(*Scores, &Causal), R, C, Taped);
+
+        TensorPtr X = forwardOperand(R, C, Seed + 5, Taped, {});
+        TensorPtr Gamma = forwardOperand(1, C, Seed + 6, Taped, {});
+        TensorPtr Beta = forwardOperand(1, C, Seed + 7, Taped, {});
+        Check("layerNorm", layerNorm(X, Gamma, Beta),
+              refLayerNorm(*X, *Gamma, *Beta), R, C, Taped);
+
+        std::vector<int> Ids(static_cast<size_t>(R));
+        for (int I = 0; I < R; ++I)
+          Ids[static_cast<size_t>(I)] = (I * 7 + 3) % R;
+        Check("gatherRows", gatherRows(A, Ids), refGatherRows(*A, Ids), R, C,
+              Taped);
+        const int Start = C / 4, Count = C - Start - C / 8;
+        Check("sliceCols", sliceCols(A, Start, Count),
+              refSliceCols(*A, Start, Count), R, C, Taped);
+        TensorPtr Narrow = forwardOperand(R, C % 5 + 1, Seed + 8, Taped,
+                                          AllSpecials);
+        const std::vector<TensorPtr> Parts = {A, Narrow, B};
+        Check("concatCols", concatCols(Parts), refConcatCols(Parts), R, C,
+              Taped);
+
+        // A seeded NaN plus an inf − inf NaN in one chain would leave the
+        // payload to operand order, so the mixed table has infinities only.
+        TensorPtr Table = forwardOperand(R, C, Seed + 9, Taped, {Inf, -Inf});
+        std::vector<std::vector<int>> Lists(static_cast<size_t>(R));
+        for (int I = 0; I < R; ++I)
+          for (int K = 0; K < I % 4; ++K)
+            Lists[static_cast<size_t>(I)].push_back((I * 5 + K * 3) % R);
+        Check("sparseMix", sparseMix(Table, Lists),
+              refSparseMix(*Table, Lists), R, C, Taped);
+      }
+  };
+  RunAll(/*Taped=*/true);
+  {
+    NoGradGuard Guard;
+    RunAll(/*Taped=*/false);
+  }
+  EXPECT_EQ(Mismatches, 0);
+}
+
 TEST(Vocab, SpecialTokensExist) {
   Vocab V;
   EXPECT_EQ(V.textOf(V.padId()), "[PAD]");
