@@ -232,7 +232,8 @@ BENCHMARK_CAPTURE(BM_Gemm, tnaccum_48x64x192, GemmCases[5]);
 /// random weights. Stage3Plan has Stage 3's shape instead: the confidence
 /// buckets, two pinned skeleton tokens, one placeholder choosing among six
 /// candidates (one biased), then a pinned tail — 9 tokens, none of them
-/// [EOS]. Sources up to 48 tokens encode untruncated.
+/// [EOS]. OnePin pins a single confidence bucket. Sources up to 48 tokens
+/// encode untruncated.
 struct DecodeFixture {
   Vocab V;
   std::vector<int> Words;
@@ -241,6 +242,7 @@ struct DecodeFixture {
   CodeBE::DecodePlan Plan;
   int Tokens = 0;
   CodeBE::DecodePlan Stage3Plan;
+  CodeBE::DecodePlan OnePin;
 
   DecodeFixture() {
     for (int I = 0; I < 40; ++I)
@@ -266,6 +268,8 @@ struct DecodeFixture {
       Stage3Plan.Steps.push_back({Words[static_cast<size_t>(I)]});
     Stage3Plan.Bias.resize(Stage3Plan.Steps.size());
     Stage3Plan.Bias[3][Words[12]] = 1.5f;
+
+    OnePin.Steps.push_back({V.csId(20)});
   }
 
   static DecodeFixture &instance() {
@@ -306,16 +310,19 @@ void BM_DecodeStage3Plan(benchmark::State &State) {
 }
 BENCHMARK(BM_DecodeStage3Plan);
 
-/// One Stage-3 row's encoder work: beginDecode runs the encoder over a
-/// source of Arg tokens and projects the cross-attention keys and values.
-/// 16, 28 and 41 tokens bracket the sources Stage 3 encodes.
+/// One Stage-3 row's encoder work: a decode under a one-position pinned
+/// plan runs the encoder over a source of Arg tokens and projects the
+/// cross-attention keys and values, but no decoder pass (nothing follows
+/// the pin). 16, 28 and 41 tokens bracket the sources Stage 3 encodes.
 void BM_EncodeSource(benchmark::State &State) {
   DecodeFixture &F = DecodeFixture::instance();
+  F.Model->setDecodeMode(CodeBE::DecodeMode::KVCache);
   std::vector<int> Src = {F.V.clsId()};
   while (Src.size() < static_cast<size_t>(State.range(0)))
     Src.push_back(F.Words[(Src.size() * 7) % F.Words.size()]);
   for (auto _ : State)
-    benchmark::DoNotOptimize(F.Model->beginDecode(Src));
+    benchmark::DoNotOptimize(F.Model->generate(Src, nullptr, &F.OnePin,
+                                               /*WithProbs=*/false));
   State.SetItemsProcessed(State.iterations() * State.range(0));
 }
 BENCHMARK(BM_EncodeSource)->Arg(16)->Arg(28)->Arg(41);

@@ -1037,11 +1037,6 @@ void VegaSystem::setJobs(int Jobs) {
   Pool.reset();
 }
 
-GeneratedFunction VegaSystem::generateFunction(const TemplateInfo &TI,
-                                               const std::string &TargetName) {
-  return assembleFunction(TI, TargetName, nullptr);
-}
-
 GeneratedFunction VegaSystem::assembleFunction(const TemplateInfo &TI,
                                                const std::string &TargetName,
                                                const SiteChooser &Choose) {
@@ -1175,52 +1170,18 @@ GeneratedFunction VegaSystem::assembleFunction(const TemplateInfo &TI,
 }
 
 GeneratedBackend VegaSystem::generateBackend(const std::string &TargetName) {
-  std::vector<GeneratedBackend> Backends = generateBackends({TargetName});
-  return std::move(Backends.front());
-}
-
-std::vector<GeneratedBackend>
-VegaSystem::generateBackends(const std::vector<std::string> &TargetNames) {
-  assert(Model && "trainModel() must run first");
-  // One span per call: the historical "stage3.generate_backend" name (with
-  // its target arg) when generating a single backend — CI and the tests key
-  // on it — and "stage3.generate_batch" for a multi-target fan-out.
-  std::optional<obs::Span> StageSpan;
-  if (TargetNames.size() == 1) {
-    StageSpan.emplace("stage3.generate_backend", "stage3");
-    StageSpan->arg("target", TargetNames.front());
-  } else {
-    StageSpan.emplace("stage3.generate_batch", "stage3");
-    std::string Joined;
-    for (const std::string &T : TargetNames)
-      Joined += (Joined.empty() ? "" : ",") + T;
-    StageSpan->arg("targets", Joined);
-    StageSpan->arg("count", std::to_string(TargetNames.size()));
-  }
-
-  // The batch path is the handle API driven to completion in one shot: open
-  // a handle per target, claim every unit into one target-major work list
-  // (so a batched request from vega-serve saturates the pool even when each
-  // individual backend has fewer functions than lanes), run a single
-  // fan-out, and fold each handle. Merges happen per handle in template
-  // order, so each backend is byte-identical to a standalone
-  // generateBackend() call for any job count or batch composition.
-  std::vector<GenerationHandle> Handles;
-  Handles.reserve(TargetNames.size());
-  for (const std::string &Target : TargetNames)
-    Handles.push_back(beginGenerate(Target));
-
+  // CI and the tests key on the span name and its target arg.
+  obs::Span StageSpan("stage3.generate_backend", "stage3");
+  StageSpan.arg("target", TargetName);
+  // The handle API driven to completion in one shot: every unit rides one
+  // fan-out and the merge runs in template order, so the backend is
+  // byte-identical at any job count.
+  GenerationHandle H = beginGenerate(TargetName);
   std::vector<std::pair<GenerationHandle *, size_t>> Work;
-  for (GenerationHandle &H : Handles)
-    while (std::optional<size_t> U = H.claimUnit())
-      Work.push_back({&H, *U});
+  while (std::optional<size_t> U = H.claimUnit())
+    Work.push_back({&H, *U});
   runGenerateUnits(Work);
-
-  std::vector<GeneratedBackend> Backends;
-  Backends.reserve(Handles.size());
-  for (GenerationHandle &H : Handles)
-    Backends.push_back(finishGenerate(std::move(H)));
-  return Backends;
+  return finishGenerate(std::move(H));
 }
 
 VegaSystem::GenerationHandle
@@ -1254,25 +1215,14 @@ void VegaSystem::runGenerateUnits(
   Pool->parallelFor(Units.size(), [&](size_t I) {
     GenerationHandle &H = *Units[I].first;
     const size_t U = Units[I].second;
-    H.Results[U] = generateFunction(*H.Units[U], H.Target);
+    H.Results[U] = assembleFunction(*H.Units[U], H.Target);
   });
   for (const auto &[H, U] : Units)
     ++H->Executed;
 }
 
-bool VegaSystem::stepGenerate(GenerationHandle &H) {
-  std::optional<size_t> U = H.claimUnit();
-  if (!U)
-    return false;
-  H.Results[*U] = generateFunction(*H.Units[*U], H.Target);
-  ++H.Executed;
-  return true;
-}
-
 GeneratedBackend VegaSystem::finishGenerate(GenerationHandle H) {
-  while (stepGenerate(H)) {
-  }
-  assert(H.complete() && "claimed units must be executed before finish");
+  assert(H.complete() && "every unit must run before finish");
   GeneratedBackend Backend;
   Backend.TargetName = H.Target;
   auto &Metrics = obs::MetricsRegistry::instance();

@@ -229,21 +229,14 @@ public:
   double verificationExactMatch(size_t MaxPairs = 0);
 
   /// Stage 3: generates a backend for \p TargetName from its description
-  /// files. The target must exist in the corpus target database.
+  /// files. The target must exist in the corpus target database. One
+  /// handle driven to completion: beginGenerate(), every unit claimed into
+  /// one runGenerateUnits() fan-out, then finishGenerate().
   GeneratedBackend generateBackend(const std::string &TargetName);
-
-  /// Batched Stage 3: generates backends for several targets in one fan-out
-  /// — every (target, function) pair becomes one task on the shared worker
-  /// pool, and results are merged back per target in template order, so
-  /// each returned backend is byte-identical to a standalone
-  /// generateBackend() call for that target at any job count. This is the
-  /// engine under the vega-serve request batcher.
-  std::vector<GeneratedBackend>
-  generateBackends(const std::vector<std::string> &TargetNames);
 
   /// An in-flight Stage-3 generation for one target: the applicable
   /// function templates as independent decode units plus their per-unit
-  /// results. Obtained from beginGenerate(); advanced by stepGenerate() /
+  /// results. Obtained from beginGenerate(); its claimed units run through
   /// runGenerateUnits(); folded into a backend by finishGenerate(). Units
   /// are independent (each decodes one function against read-only system
   /// state), so units from any mix of handles can share one pool fan-out —
@@ -253,11 +246,10 @@ public:
     GenerationHandle() = default;
     const std::string &target() const { return Target; }
     size_t unitCount() const { return Units.size(); }
-    size_t unitsExecuted() const { return Executed; }
-    /// Every unit executed — finishGenerate() will only merge.
+    /// Every unit executed — the handle is ready for finishGenerate().
     bool complete() const { return Executed == Units.size(); }
     /// Claims the next unclaimed unit index; nullopt when all are claimed.
-    /// Every claimed unit must reach runGenerateUnits()/the claimer before
+    /// Every claimed unit must run through runGenerateUnits() before
     /// finishGenerate().
     std::optional<size_t> claimUnit() {
       if (Cursor >= Units.size())
@@ -276,27 +268,22 @@ public:
 
   /// Opens a generation handle for \p TargetName: one unit per applicable
   /// template (DIS templates are skipped for targets without a
-  /// disassembler, exactly like generateBackends), model prepared for
-  /// concurrent decode. Target validation is the caller's job, matching
-  /// generateBackend() (VegaSession::beginGenerate validates).
+  /// disassembler), model prepared for concurrent decode. Target
+  /// validation is the caller's job, matching generateBackend()
+  /// (VegaSession::beginGenerate validates).
   GenerationHandle beginGenerate(const std::string &TargetName);
 
   /// Executes already-claimed (handle, unit) pairs as one fan-out over the
   /// shared worker pool — the serve scheduler's "one pass per step". Any
   /// mix of handles can ride one call; units are marked executed on return.
-  /// Not reentrant (one fan-out at a time, like generateBackends).
+  /// Not reentrant (one fan-out at a time).
   void
   runGenerateUnits(const std::vector<std::pair<GenerationHandle *, size_t>> &Units);
 
-  /// Claims and runs the next unit inline on the caller; false when the
-  /// handle has no unclaimed units left.
-  bool stepGenerate(GenerationHandle &H);
-
-  /// Folds a handle into its backend: remaining unclaimed units run inline
-  /// first, then functions merge in template order with per-module seconds
-  /// and the gen.functions counters — byte-identical to the
-  /// generateBackends() merge, so finish on a fresh handle is exactly
-  /// generateBackend().
+  /// Folds a complete() handle into its backend: functions merge in
+  /// template order with per-module seconds and the gen.functions
+  /// counters. Runs no units; VegaSession::finish rejects an incomplete
+  /// handle.
   GeneratedBackend finishGenerate(GenerationHandle H);
 
   /// Lane count of the Stage-3 worker pool (built on first use) — the
@@ -410,10 +397,6 @@ private:
                                  const std::string &Target,
                                  const std::optional<std::string> &Assigned,
                                  const std::string &CtxValue);
-  /// Generates one function (the per-worker unit of Stage-3 parallelism).
-  /// Touches only read-only system state and thread-safe singletons.
-  GeneratedFunction generateFunction(const TemplateInfo &TI,
-                                     const std::string &TargetName);
 
   const BackendCorpus &Corpus;
   VegaOptions Options;

@@ -73,10 +73,9 @@ Status VegaSession::save(const std::string &Path) const {
 }
 
 StatusOr<GeneratedBackend> VegaSession::generate(const std::string &Target) {
-  StatusOr<std::vector<GeneratedBackend>> Backends = generateMany({Target});
-  if (!Backends.isOk())
-    return Backends.status();
-  return std::move(Backends->front());
+  if (!Corpus.targets().find(Target))
+    return Status::notFound("unknown target '" + Target + "'");
+  return System->generateBackend(Target);
 }
 
 StatusOr<VegaSession::GenerationHandle>
@@ -86,12 +85,10 @@ VegaSession::beginGenerate(const std::string &Target) {
   return System->beginGenerate(Target);
 }
 
-StatusOr<std::vector<GeneratedBackend>>
-VegaSession::generateMany(const std::vector<std::string> &Targets) {
-  if (Targets.empty())
-    return Status::invalidArgument("no targets given");
-  for (const std::string &Target : Targets)
-    if (!Corpus.targets().find(Target))
-      return Status::notFound("unknown target '" + Target + "'");
-  return System->generateBackends(Targets);
+StatusOr<GeneratedBackend> VegaSession::finish(GenerationHandle Handle) {
+  if (!Handle.complete())
+    return Status::failedPrecondition(
+        "generation of '" + Handle.target() +
+        "' has units that have not run");
+  return System->finishGenerate(std::move(Handle));
 }

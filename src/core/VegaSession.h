@@ -15,8 +15,9 @@
 ///   load(path)           restore a generation-ready session without
 ///                        re-touching Stage 1/2
 ///   generate(target)     Stage 3 for one target
-///   generateMany(...)    batched Stage 3 (one pool fan-out, deterministic
-///                        per-target merges — the vega-serve engine)
+///   beginGenerate(target) / finish(handle)
+///                        Stage 3 as units the serve scheduler claims and
+///                        runs (VegaSystem::runGenerateUnits) between them
 ///
 /// Consumers map Status to their own error surface: vega-cli turns codes
 /// into process exit codes, vega-serve into JSON-RPC error objects.
@@ -31,7 +32,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace vega {
 
@@ -69,27 +69,15 @@ public:
   using GenerationHandle = VegaSystem::GenerationHandle;
 
   /// Opens a generation handle for \p Target. NotFound for targets absent
-  /// from the corpus. Drive it with step() (serial) or hand it to the serve
-  /// scheduler, then fold it with finish(); finish() on a fresh handle is
-  /// exactly generate().
+  /// from the corpus. Claim its units and run them through
+  /// VegaSystem::runGenerateUnits (the serve scheduler does), then fold it
+  /// with finish().
   StatusOr<GenerationHandle> beginGenerate(const std::string &Target);
 
-  /// Runs the next pending unit of \p Handle inline; false when none left.
-  bool step(GenerationHandle &Handle) { return System->stepGenerate(Handle); }
-
-  /// Completes \p Handle (running any remaining units) and returns the
-  /// backend — byte-identical to generate() for the same target.
-  StatusOr<GeneratedBackend> finish(GenerationHandle Handle) {
-    return System->finishGenerate(std::move(Handle));
-  }
-
-  /// Batched Stage 3: all targets share one pool fan-out; each returned
-  /// backend is byte-identical to a standalone generate() call. A thin
-  /// validation wrapper over VegaSystem::generateBackends, which itself
-  /// drives the handle API — batch, serial-step, and scheduler paths are
-  /// one code path.
-  StatusOr<std::vector<GeneratedBackend>>
-  generateMany(const std::vector<std::string> &Targets);
+  /// Folds a handle whose units have all run into its backend —
+  /// byte-identical to generate() for the same target. FailedPrecondition
+  /// when a unit has not run (unclaimed, or claimed but never executed).
+  StatusOr<GeneratedBackend> finish(GenerationHandle Handle);
 
   /// Overrides the Stage-3 lane count (0 = auto).
   void setJobs(int Jobs) { System->setJobs(Jobs); }

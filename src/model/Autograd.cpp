@@ -124,6 +124,9 @@ bool NoGradGuard::active() { return NoGradDepth > 0; }
 // One source builds two variants: an AVX2 one (without FMA) and an x86-64
 // baseline one, where each 8-wide vector op lowers to two SSE ops. The
 // dynamic loader picks one once, through the target_clones ifunc resolver.
+// ThreadSanitizer builds get the baseline variant only: GCC's ifunc
+// resolvers run before the TSan runtime is up and crash the process at
+// start-up.
 
 namespace {
 
@@ -132,7 +135,7 @@ using V8 = float __attribute__((vector_size(32)));
 using V8u = float __attribute__((vector_size(32), aligned(4), may_alias));
 using V4u = float __attribute__((vector_size(16), aligned(4), may_alias));
 
-#if defined(__x86_64__)
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
 #define VEGA_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define VEGA_KERNEL_CLONES
@@ -405,7 +408,7 @@ void vega::detail::gemmTNAccum(const float *A, const float *G, float *C,
 }
 
 const char *vega::detail::gemmVariant() {
-#if defined(__x86_64__)
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
   // The target_clones resolver makes the same check once, at load time.
   return __builtin_cpu_supports("avx2") ? "avx2" : "default";
 #else

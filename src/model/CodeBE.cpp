@@ -12,7 +12,6 @@
 #include "support/RNG.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -396,10 +395,23 @@ int CodeBE::chooseByColumns(const TensorPtr &DecRow, const TensorPtr &Memory,
       BestV);
 }
 
+std::vector<int> CodeBE::clippedSource(const std::vector<int> &Src) const {
+  if (static_cast<int>(Src.size()) <= Config.MaxSrcLen)
+    return Src;
+  return {Src.begin(), Src.begin() + Config.MaxSrcLen};
+}
+
+bool CodeBE::isAllowed(const std::vector<uint8_t> *Allowed, int Id) const {
+  if (!Allowed)
+    return true;
+  if (Id == Vocabulary.eosId() || Vocabulary.isCsToken(Id))
+    return true;
+  return static_cast<size_t>(Id) < Allowed->size() &&
+         (*Allowed)[static_cast<size_t>(Id)] != 0;
+}
+
 TensorPtr CodeBE::trainLoss(const TrainPair &Pair, const TensorPtr &Comb) {
-  std::vector<int> Src = Pair.Src;
-  if (static_cast<int>(Src.size()) > Config.MaxSrcLen)
-    Src.resize(static_cast<size_t>(Config.MaxSrcLen));
+  std::vector<int> Src = clippedSource(Pair.Src);
   std::vector<int> Dst = Pair.Dst;
   if (static_cast<int>(Dst.size()) > Config.MaxDstLen)
     Dst.resize(static_cast<size_t>(Config.MaxDstLen));
@@ -468,39 +480,44 @@ struct CodeBE::KVCacheState {
   }
 };
 
-/// Everything one in-flight decode owns: the truncated input, borrowed
-/// constraint pointers, the KV scratch, and the partial result. Step/Done
-/// carry the decode position across decodeStepMany() calls, so a stream can
-/// be stepped in any interleaving with any other streams.
-struct CodeBE::DecodeStream::Impl {
-  std::vector<int> Input; ///< Src truncated to MaxSrcLen
-  const std::vector<uint8_t> *Allowed = nullptr; ///< borrowed
-  const DecodePlan *Plan = nullptr;              ///< borrowed
-  bool WithProbs = false;
+/// One greedy KV-cached decode: its borrowed input and constraints, the KV
+/// scratch, the previous token, and the partial result.
+struct CodeBE::GreedyDecode {
+  const std::vector<int> &Input; ///< Src truncated to MaxSrcLen
+  const std::vector<uint8_t> *Allowed;
+  const DecodePlan *Plan;
+  bool WithProbs;
   /// The plan's last position whose set is not a singleton (-1 when every
   /// position is pinned). Nothing reads a decoder pass after it.
   int LastFree = -1;
   KVCacheState St;
-  TensorPtr PresenceRow; ///< built by the first full-vocabulary step
-  Decoded Result;
+  TensorPtr PresenceRow = nullptr; ///< built by the first full-vocabulary step
+  Decoded Result = {};
   int PrevTok = 0;
-  int Step = 0;
-  bool Done = false;
   int Passes = 0;      ///< decoder passes run (model.decoder_passes)
   int Projections = 0; ///< 1×V logit rows built (model.vocab_projections)
 };
 
-CodeBE::DecodeStream::DecodeStream() = default;
-CodeBE::DecodeStream::DecodeStream(DecodeStream &&Other) noexcept = default;
-CodeBE::DecodeStream &
-CodeBE::DecodeStream::operator=(DecodeStream &&Other) noexcept = default;
-CodeBE::DecodeStream::~DecodeStream() = default;
-
-bool CodeBE::DecodeStream::done() const { return !I || I->Done; }
-
-const CodeBE::Decoded &CodeBE::DecodeStream::partial() const {
-  assert(I && "partial() on a moved-from stream");
-  return I->Result;
+CodeBE::KVCacheState CodeBE::encodeForDecode(const std::vector<int> &Input) {
+  KVCacheState St;
+  {
+    obs::Span EncSpan("model.encode", "model");
+    St.Memory = runEncoder(Input);
+  }
+  const int Dk = Config.DModel / Config.Heads;
+  St.CrossK.resize(Dec.size());
+  St.CrossV.resize(Dec.size());
+  St.SelfK.resize(Dec.size());
+  St.SelfV.resize(Dec.size());
+  for (size_t LI = 0; LI < Dec.size(); ++LI) {
+    TensorPtr K = linear(St.Memory, Dec[LI].Cross.K);
+    TensorPtr V = linear(St.Memory, Dec[LI].Cross.V);
+    for (int HI = 0; HI < Config.Heads; ++HI) {
+      St.CrossK[LI].push_back(sliceCols(K, HI * Dk, Dk));
+      St.CrossV[LI].push_back(sliceCols(V, HI * Dk, Dk));
+    }
+  }
+  return St;
 }
 
 TensorPtr CodeBE::decodeStep(KVCacheState &St, int TokenId) {
@@ -597,16 +614,8 @@ int CodeBE::chooseGreedy(const TensorPtr &Logits,
         *StepSet, stepBiasOf(*Plan, Step), Logits->Cols,
         [&](int J) { return Logits->at(Last, J); }, BestV);
   } else {
-    auto IsAllowed = [&](int Id) {
-      if (!Allowed)
-        return true;
-      if (Id == Vocabulary.eosId() || Vocabulary.isCsToken(Id))
-        return true;
-      return static_cast<size_t>(Id) < Allowed->size() &&
-             (*Allowed)[static_cast<size_t>(Id)] != 0;
-    };
     for (int J = 0; J < Logits->Cols; ++J) {
-      if (!IsAllowed(J))
+      if (!isAllowed(Allowed, J))
         continue;
       if (Logits->at(Last, J) > BestV) {
         BestV = Logits->at(Last, J);
@@ -642,8 +651,7 @@ int CodeBE::chooseGreedy(const TensorPtr &Logits,
   return Best;
 }
 
-bool CodeBE::decodeGreedyKV(DecodeStream::Impl &D) {
-  const int Step = D.Step;
+bool CodeBE::decodeGreedyKV(GreedyDecode &D, int Step) {
   // Positions past the plan end the statement.
   if (D.Plan && static_cast<size_t>(Step) >= D.Plan->Steps.size())
     return true;
@@ -694,104 +702,35 @@ bool CodeBE::decodeGreedyKV(DecodeStream::Impl &D) {
   return false;
 }
 
-CodeBE::DecodeStream CodeBE::beginDecode(const std::vector<int> &Src,
-                                         const std::vector<uint8_t> *Allowed,
-                                         const DecodePlan *Plan,
-                                         bool WithProbs) {
+CodeBE::Decoded CodeBE::generate(const std::vector<int> &Src,
+                                 const std::vector<uint8_t> *Allowed,
+                                 const DecodePlan *Plan, bool WithProbs) {
   // Inference never backpropagates: build no tape, so every intermediate
   // tensor dies at the end of its statement instead of living until the
   // decode finishes.
   NoGradGuard Guard;
-  DecodeStream S;
-  S.I = std::make_unique<DecodeStream::Impl>();
-  DecodeStream::Impl &D = *S.I;
-  D.Input = Src;
-  if (static_cast<int>(D.Input.size()) > Config.MaxSrcLen)
-    D.Input.resize(static_cast<size_t>(Config.MaxSrcLen));
-  D.Allowed = Allowed;
-  D.Plan = Plan;
-  D.WithProbs = WithProbs;
-  if (Plan)
-    for (size_t P = 0; P < Plan->Steps.size(); ++P)
-      if (Plan->Steps[P].size() != 1)
-        D.LastFree = static_cast<int>(P);
-  {
-    obs::Span EncSpan("model.encode", "model");
-    D.St.Memory = runEncoder(D.Input);
-  }
-  const int Dk = Config.DModel / Config.Heads;
-  D.St.CrossK.resize(Dec.size());
-  D.St.CrossV.resize(Dec.size());
-  D.St.SelfK.resize(Dec.size());
-  D.St.SelfV.resize(Dec.size());
-  for (size_t LI = 0; LI < Dec.size(); ++LI) {
-    TensorPtr K = linear(D.St.Memory, Dec[LI].Cross.K);
-    TensorPtr V = linear(D.St.Memory, Dec[LI].Cross.V);
-    for (int HI = 0; HI < Config.Heads; ++HI) {
-      D.St.CrossK[LI].push_back(sliceCols(K, HI * Dk, Dk));
-      D.St.CrossV[LI].push_back(sliceCols(V, HI * Dk, Dk));
-    }
-  }
-  D.PrevTok = Vocabulary.e2dId();
-  return S;
-}
-
-size_t CodeBE::decodeStepMany(const std::vector<DecodeStream *> &Streams) {
-  NoGradGuard Guard;
-  size_t Live = 0;
-  for (DecodeStream *S : Streams) {
-    assert(S && S->I && "stepping a consumed or moved-from stream");
-    DecodeStream::Impl &D = *S->I;
-    if (D.Done)
-      continue;
-    if (D.Step >= Config.MaxDstLen) {
-      D.Done = true;
-      continue;
-    }
-    // One position of the KV-cached greedy decode, with the state (cache,
-    // previous token, partial result) carried in the stream. A stream
-    // therefore produces the same bytes whether it is stepped alone or
-    // interleaved with any co-batch.
-    const bool Ended = decodeGreedyKV(D);
-    ++D.Step;
-    if (Ended || D.Step >= Config.MaxDstLen)
-      D.Done = true;
-    else
-      ++Live;
-  }
-  return Live;
-}
-
-CodeBE::Decoded CodeBE::finishDecode(DecodeStream S) {
-  assert(S.I && "finishing a consumed or moved-from stream");
-  std::vector<DecodeStream *> Solo = {&S};
-  while (decodeStepMany(Solo) > 0) {
-  }
-  return std::move(S.I->Result);
-}
-
-CodeBE::Decoded CodeBE::generate(const std::vector<int> &Src,
-                                 const std::vector<uint8_t> *Allowed,
-                                 const DecodePlan *Plan, bool WithProbs) {
-  NoGradGuard Guard;
+  const std::vector<int> Input = clippedSource(Src);
   Decoded Result;
   int Passes = 0, Projections = 0;
   if (Mode == DecodeMode::KVCache) {
-    // The solo decode is one stream run to completion — the same step-level
-    // path decodeStepMany() co-steps many streams through, so solo and
-    // co-batched decodes cannot diverge.
-    DecodeStream S = beginDecode(Src, Allowed, Plan, WithProbs);
+    GreedyDecode D{.Input = Input,
+                   .Allowed = Allowed,
+                   .Plan = Plan,
+                   .WithProbs = WithProbs,
+                   .St = encodeForDecode(Input),
+                   .PrevTok = Vocabulary.e2dId()};
+    if (Plan)
+      for (size_t P = 0; P < Plan->Steps.size(); ++P)
+        if (Plan->Steps[P].size() != 1)
+          D.LastFree = static_cast<int>(P);
     obs::Span DecSpan("model.decode", "model");
-    std::vector<DecodeStream *> Solo = {&S};
-    while (decodeStepMany(Solo) > 0) {
-    }
-    Passes = S.I->Passes;
-    Projections = S.I->Projections;
-    Result = std::move(S.I->Result);
+    for (int Step = 0; Step < Config.MaxDstLen; ++Step)
+      if (decodeGreedyKV(D, Step))
+        break;
+    Passes = D.Passes;
+    Projections = D.Projections;
+    Result = std::move(D.Result);
   } else {
-    std::vector<int> Input = Src;
-    if (static_cast<int>(Input.size()) > Config.MaxSrcLen)
-      Input.resize(static_cast<size_t>(Config.MaxSrcLen));
     TensorPtr Memory;
     {
       obs::Span EncSpan("model.encode", "model");
@@ -839,44 +778,11 @@ CodeBE::decodeBeam(const std::vector<int> &Src, int Width,
   obs::Span BeamSpan("beam.decode", "model");
   BeamSpan.arg("width", std::to_string(Width));
 
-  std::vector<int> Input = Src;
-  if (static_cast<int>(Input.size()) > Config.MaxSrcLen)
-    Input.resize(static_cast<size_t>(Config.MaxSrcLen));
-  TensorPtr Memory;
-  {
-    obs::Span EncSpan("model.encode", "model");
-    Memory = runEncoder(Input);
-  }
-
+  const std::vector<int> Input = clippedSource(Src);
   // The shared decode scratch template: cross projections computed once and
   // shared read-only by every hypothesis; self K/V rows are forked per
   // hypothesis when the beam branches.
-  KVCacheState Proto;
-  {
-    const int Dk = Config.DModel / Config.Heads;
-    Proto.Memory = Memory;
-    Proto.CrossK.resize(Dec.size());
-    Proto.CrossV.resize(Dec.size());
-    Proto.SelfK.resize(Dec.size());
-    Proto.SelfV.resize(Dec.size());
-    for (size_t LI = 0; LI < Dec.size(); ++LI) {
-      TensorPtr K = linear(Memory, Dec[LI].Cross.K);
-      TensorPtr V = linear(Memory, Dec[LI].Cross.V);
-      for (int HI = 0; HI < Config.Heads; ++HI) {
-        Proto.CrossK[LI].push_back(sliceCols(K, HI * Dk, Dk));
-        Proto.CrossV[LI].push_back(sliceCols(V, HI * Dk, Dk));
-      }
-    }
-  }
-
-  auto IsAllowed = [&](int Id) {
-    if (!Allowed)
-      return true;
-    if (Id == Vocabulary.eosId() || Vocabulary.isCsToken(Id))
-      return true;
-    return static_cast<size_t>(Id) < Allowed->size() &&
-           (*Allowed)[static_cast<size_t>(Id)] != 0;
-  };
+  KVCacheState Proto = encodeForDecode(Input);
 
   struct LiveBeam {
     KVCacheState St;
@@ -910,8 +816,8 @@ CodeBE::decodeBeam(const std::vector<int> &Src, int Width,
     for (size_t BI = 0; BI < Live.size(); ++BI) {
       LiveBeam &B = Live[BI];
       TensorPtr DecRow = decodeStep(B.St, B.PrevTok);
-      TensorPtr Logits = logitsFor(DecRow, Memory, Input, /*UseCombCache=*/true,
-                                   PresenceRow);
+      TensorPtr Logits = logitsFor(DecRow, Proto.Memory, Input,
+                                   /*UseCombCache=*/true, PresenceRow);
       int Last = Logits->Rows - 1;
       const float *Row = &Logits->Data[static_cast<size_t>(Last) * Logits->Cols];
       // Raw-row log-sum-exp: the same normalizer generate()'s confidence
@@ -940,7 +846,7 @@ CodeBE::decodeBeam(const std::vector<int> &Src, int Width,
         }
       } else {
         for (int J = 0; J < Logits->Cols; ++J)
-          if (IsAllowed(J))
+          if (isAllowed(Allowed, J))
             Exps.push_back({BI, J, B.Score + static_cast<double>(Row[J]) - LSE});
       }
     }

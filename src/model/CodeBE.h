@@ -87,74 +87,18 @@ public:
   /// softmax over the vocabulary at every step) is skipped and
   /// Decoded::Probs comes back empty; token choice is unaffected. Stage 3
   /// reads the confidence bucket, not the probabilities, so it decodes
-  /// with WithProbs=false. Such a decode also computes only what the
-  /// greedy choice reads (see beginDecode()).
+  /// with WithProbs=false.
+  ///
+  /// On the KV-cache path a decode without probabilities also computes only
+  /// what the greedy choice reads. A pinned position after the plan's last
+  /// free one (the last whose set is not a singleton; an empty set is free)
+  /// appends its token with no decoder pass, since no later position
+  /// attends over it; a position with several admissible ids scores only
+  /// those columns instead of the 1×V logit row. Both choose the tokens a
+  /// WithProbs decode of the same plan chooses.
   Decoded generate(const std::vector<int> &Src,
                    const std::vector<uint8_t> *Allowed = nullptr,
                    const DecodePlan *Plan = nullptr, bool WithProbs = true);
-
-  /// One in-flight KV-cached greedy decode, advanced one output position at
-  /// a time by decodeStepMany(). A stream owns its decode scratch (KV cache,
-  /// presence row, partial result), so any number of streams can be stepped
-  /// in any interleaving; the Allowed/Plan pointers passed to beginDecode()
-  /// are borrowed and must outlive the stream. Move-only.
-  class DecodeStream {
-  public:
-    DecodeStream(DecodeStream &&Other) noexcept;
-    DecodeStream &operator=(DecodeStream &&Other) noexcept;
-    DecodeStream(const DecodeStream &) = delete;
-    DecodeStream &operator=(const DecodeStream &) = delete;
-    ~DecodeStream();
-
-    /// True once the decode ended (EOS, nothing admissible, plan exhausted,
-    /// or MaxDstLen reached). Stepping a done stream is a no-op.
-    bool done() const;
-
-    /// Tokens chosen so far (the final result once done()).
-    const Decoded &partial() const;
-
-  private:
-    friend class CodeBE;
-    DecodeStream();
-    struct Impl;
-    std::unique_ptr<Impl> I;
-  };
-
-  /// Starts a stream for \p Src: runs the encoder, builds the
-  /// cross-attention projections and the KV scratch, records the plan's
-  /// last free position (the last whose set is not a singleton; an empty
-  /// set is free), and leaves the stream ready for its first step. Streams
-  /// always decode on the KV-cache path (like decodeBeam), regardless of
-  /// the DecodeMode knob. This is the step-level multi-request decode entry
-  /// point: callers may co-step many streams through decodeStepMany(), and
-  /// generate() itself is one stream run to completion, so solo and
-  /// co-batched decodes are the same code path and byte-identical.
-  ///
-  /// A stream without probabilities computes only what the greedy choice
-  /// reads. A pinned position after the last free one appends its token
-  /// with no decoder pass, since no later position attends over it; a
-  /// position with several admissible ids scores only those columns
-  /// instead of the 1×V logit row. Both choose the tokens a WithProbs
-  /// decode of the same plan chooses.
-  DecodeStream beginDecode(const std::vector<int> &Src,
-                           const std::vector<uint8_t> *Allowed = nullptr,
-                           const DecodePlan *Plan = nullptr,
-                           bool WithProbs = false);
-
-  /// Advances every live stream in \p Streams by exactly one output
-  /// position — at most one KV-cached decoder pass per stream, none at a
-  /// pinned position after the plan's last free one — retiring streams
-  /// that end (EOS / plan exhausted / MaxDstLen). Done streams are skipped,
-  /// so callers can admit new streams and retire finished ones between
-  /// calls (continuous batching). Streams are independent: the result bytes
-  /// of each stream never depend on which other streams share a call.
-  /// Returns the number of streams still live after the step.
-  size_t decodeStepMany(const std::vector<DecodeStream *> &Streams);
-
-  /// Consumes the stream and returns its result, stepping it to completion
-  /// first if it is not done. Emits no metrics — callers account for whole
-  /// decodes (see generate()).
-  Decoded finishDecode(DecodeStream S);
 
   /// One ranked beam-search candidate.
   struct BeamHypothesis {
@@ -238,7 +182,18 @@ private:
   /// Per-call incremental decode scratch (one per generate() invocation,
   /// so concurrent decodes never share mutable state).
   struct KVCacheState;
+  /// One greedy KV-cached decode in progress (see decodeGreedyKV()).
+  struct GreedyDecode;
 
+  /// \p Src cut to MaxSrcLen: the input every encoder pass sees.
+  std::vector<int> clippedSource(const std::vector<int> &Src) const;
+  /// Runs the encoder over \p Input (the model.encode span) and returns
+  /// the decode scratch over its memory: cross-attention K/V projected once
+  /// and sliced per head, empty self-attention rows.
+  KVCacheState encodeForDecode(const std::vector<int> &Input);
+  /// Whether the unconstrained-step mask \p Allowed admits \p Id ([EOS]
+  /// and the CS buckets always pass; a null mask admits everything).
+  bool isAllowed(const std::vector<uint8_t> *Allowed, int Id) const;
   TensorPtr linear(const TensorPtr &X, const LinearP &P);
   /// Feeds one token through the decoder using (and extending) the K/V
   /// cache; returns the new 1×DModel decoder output row.
@@ -282,12 +237,12 @@ private:
   int chooseGreedy(const TensorPtr &Logits, const std::vector<uint8_t> *Allowed,
                    const DecodePlan *Plan, int Step, bool WithProbs,
                    double &Prob) const;
-  /// Runs one greedy step of \p D at plan position D.Step, extending its
+  /// Runs one greedy step of \p D at plan position \p Step, extending its
   /// cache when a later position reads it and appending the chosen token
   /// to its result. Returns true when the decode ended at this step (EOS,
   /// no admissible token, or plan exhausted) — the caller must not
   /// continue it.
-  bool decodeGreedyKV(DecodeStream::Impl &D);
+  bool decodeGreedyKV(GreedyDecode &D, int Step);
   TensorPtr combinedEmbeddings();
   void refreshCombCache();
   std::vector<TensorPtr> parameters() const;

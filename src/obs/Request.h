@@ -14,7 +14,7 @@
 /// tagging every recorded trace event with its originating request ID and
 /// appending a lightweight record to the ring buffer.
 ///
-/// Batched fan-outs (one generateMany() serving several deduped requests)
+/// Batched fan-outs (one scheduler step running units of several requests)
 /// install a RequestRouter mapping a work key — the target name — to the
 /// originating request, so per-item code can rebind the correct context
 /// with `RequestScope Scope(boundRequest(Key))`. Both thread-locals hop

@@ -29,9 +29,11 @@
 ///     callback — response assembly never stalls the decode loop.
 ///
 /// Determinism contract: a generation's bytes depend only on its target.
-/// Units execute generateFunction() independently and merge in template
-/// order, so a backend produced while co-batched with seven neighbours is
-/// byte-identical to one produced solo. Admission order, window size, and
+/// Units execute VegaSystem::assembleFunction() independently and merge in
+/// template order, so a backend produced while co-batched with seven
+/// neighbours is byte-identical to one produced solo by
+/// VegaSession::generate(), which drives the same handle API. The loop
+/// retires only complete handles. Admission order, window size, and
 /// step composition affect timing ONLY; timing is visible through spans
 /// and metrics, never through payloads.
 ///

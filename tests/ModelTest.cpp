@@ -1449,46 +1449,3 @@ TEST(CodeBE, SharedPrefixImmutableUnderConcurrentDecode) {
   for (size_t I = 0; I < Srcs.size(); ++I)
     EXPECT_EQ(Got[I], Want[I]) << "lane " << I;
 }
-
-TEST(CodeBE, DecodeStepManyMatchesSoloWithMidFlightJoin) {
-  // The continuous-batching contract at the model layer: streams stepped
-  // together — including one admitted mid-flight, after its peers already
-  // advanced — decode exactly the bytes a solo generate() produces. Tokens
-  // AND probabilities must match; co-residency may change only timing.
-  SharedDecodeModel &M = SharedDecodeModel::instance();
-  CodeBE &Model = *M.Model;
-  const Vocab &V = M.V;
-
-  std::vector<int> SrcA = {V.clsId(), V.idOf(M.Words[1]), V.idOf(M.Words[9])};
-  std::vector<int> SrcB = {V.clsId(), V.idOf(M.Words[5]), V.idOf(M.Words[2])};
-  std::vector<int> SrcC = {V.clsId(), V.idOf(M.Words[7]), V.idOf(M.Words[7])};
-
-  std::vector<CodeBE::Decoded> Want;
-  for (const std::vector<int> *S : {&SrcA, &SrcB, &SrcC})
-    Want.push_back(Model.generate(*S, nullptr, nullptr, true));
-
-  // A and B co-step from the start; C joins after two interleaved steps.
-  CodeBE::DecodeStream A = Model.beginDecode(SrcA, nullptr, nullptr, true);
-  CodeBE::DecodeStream B = Model.beginDecode(SrcB, nullptr, nullptr, true);
-  std::vector<CodeBE::DecodeStream *> Streams = {&A, &B};
-  Model.decodeStepMany(Streams);
-  Model.decodeStepMany(Streams);
-  CodeBE::DecodeStream C = Model.beginDecode(SrcC, nullptr, nullptr, true);
-  Streams.push_back(&C);
-  size_t Guard = 0;
-  while (Model.decodeStepMany(Streams) > 0)
-    ASSERT_LT(++Guard, 64u) << "co-batched decode failed to terminate";
-
-  std::vector<CodeBE::Decoded> Got;
-  Got.push_back(Model.finishDecode(std::move(A)));
-  Got.push_back(Model.finishDecode(std::move(B)));
-  Got.push_back(Model.finishDecode(std::move(C)));
-
-  for (size_t I = 0; I < Want.size(); ++I) {
-    EXPECT_EQ(Got[I].Tokens, Want[I].Tokens) << "stream " << I;
-    ASSERT_EQ(Got[I].Probs.size(), Want[I].Probs.size()) << "stream " << I;
-    for (size_t P = 0; P < Want[I].Probs.size(); ++P)
-      EXPECT_EQ(Got[I].Probs[P], Want[I].Probs[P])
-          << "stream " << I << " position " << P;
-  }
-}

@@ -15,6 +15,7 @@
 
 #include "core/Checkpoint.h"
 #include "core/VegaSession.h"
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "serve/Protocol.h"
 
@@ -23,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <set>
 
 using namespace vega;
 
@@ -130,34 +132,13 @@ TEST(SessionCheckpoint, RestoredSessionEmitsNoTrainingSpans) {
   EXPECT_TRUE(SawStage3);
 }
 
-TEST(SessionCheckpoint, BatchedGenerateMatchesStandaloneCalls) {
-  StatusOr<std::unique_ptr<VegaSession>> Loaded = [] {
-    const std::string Path = "session_test_batch.vega";
-    session().save(Path);
-    auto L = VegaSession::load(Path);
-    std::remove(Path.c_str());
-    return L;
-  }();
-  ASSERT_TRUE(Loaded.isOk());
-  StatusOr<std::vector<GeneratedBackend>> Batch =
-      (*Loaded)->generateMany({"RISCV", "RI5CY", "XCORE"});
-  ASSERT_TRUE(Batch.isOk());
-  ASSERT_EQ(Batch->size(), 3u);
-  for (size_t I = 0; I < 3; ++I) {
-    StatusOr<GeneratedBackend> Alone =
-        (*Loaded)->generate(Batch->at(I).TargetName);
-    ASSERT_TRUE(Alone.isOk());
-    EXPECT_EQ(render(Batch->at(I)), render(*Alone));
-  }
-}
-
 TEST(SessionCheckpoint, GenerateRejectsUnknownAndEmptyTargets) {
   StatusOr<GeneratedBackend> Unknown = session().generate("Z80");
   ASSERT_FALSE(Unknown.isOk());
   EXPECT_EQ(Unknown.status().code(), StatusCode::NotFound);
-  StatusOr<std::vector<GeneratedBackend>> Empty = session().generateMany({});
+  StatusOr<GeneratedBackend> Empty = session().generate("");
   ASSERT_FALSE(Empty.isOk());
-  EXPECT_EQ(Empty.status().code(), StatusCode::InvalidArgument);
+  EXPECT_EQ(Empty.status().code(), StatusCode::NotFound);
 }
 
 TEST(SessionCheckpoint, RejectsTruncatedArtifact) {
@@ -239,61 +220,98 @@ TEST(SessionCheckpoint, LoadReportsMissingFileAsUnavailable) {
 }
 
 TEST(SessionCheckpoint, HandleApiStepLoopMatchesGenerate) {
-  // The redesigned Stage-3 entry point: beginGenerate/step/finish driven
-  // serially must produce exactly the bytes generate() produces, the step
-  // count must equal the unit count (one function template per unit), and
-  // two interleaved handles must not perturb each other — the scheduler's
-  // determinism contract at the session layer.
-  for (const std::string Target : {"RISCV", "RI5CY", "XCORE"}) {
-    StatusOr<GeneratedBackend> Solo = session().generate(Target);
-    ASSERT_TRUE(Solo.isOk()) << Target;
-
-    StatusOr<VegaSession::GenerationHandle> Handle =
-        session().beginGenerate(Target);
-    ASSERT_TRUE(Handle.isOk()) << Target;
-    EXPECT_EQ(Handle->target(), Target);
-    const size_t Units = Handle->unitCount();
-    ASSERT_GT(Units, 0u) << Target;
-    size_t Steps = 0;
-    while (session().step(*Handle))
-      ++Steps;
-    EXPECT_EQ(Steps, Units) << Target;
-    EXPECT_TRUE(Handle->complete()) << Target;
-    StatusOr<GeneratedBackend> Stepped =
-        session().finish(std::move(Handle.value()));
-    ASSERT_TRUE(Stepped.isOk()) << Target;
-    EXPECT_EQ(render(*Stepped), render(*Solo)) << Target;
-
-    // finish() on a fresh handle is exactly generate().
-    StatusOr<VegaSession::GenerationHandle> Fresh =
-        session().beginGenerate(Target);
-    ASSERT_TRUE(Fresh.isOk()) << Target;
-    StatusOr<GeneratedBackend> Folded =
-        session().finish(std::move(Fresh.value()));
-    ASSERT_TRUE(Folded.isOk()) << Target;
-    EXPECT_EQ(render(*Folded), render(*Solo)) << Target;
-  }
-
-  // Interleave two handles step by step; both must match their solo runs.
-  StatusOr<VegaSession::GenerationHandle> A = session().beginGenerate("RISCV");
-  StatusOr<VegaSession::GenerationHandle> B = session().beginGenerate("XCORE");
-  ASSERT_TRUE(A.isOk() && B.isOk());
-  bool MoreA = true, MoreB = true;
-  while (MoreA || MoreB) {
-    if (MoreA)
-      MoreA = session().step(*A);
-    if (MoreB)
-      MoreB = session().step(*B);
-  }
-  StatusOr<GeneratedBackend> OutA = session().finish(std::move(A.value()));
-  StatusOr<GeneratedBackend> OutB = session().finish(std::move(B.value()));
-  ASSERT_TRUE(OutA.isOk() && OutB.isOk());
+  // The serve scheduler's own calls at the session layer: units of two
+  // handles are claimed round-robin and run in fan-outs of three, so each
+  // fan-out mixes both handles. At any lane count every folded backend must
+  // be the bytes of a solo generate() — the scheduler's determinism
+  // contract.
   StatusOr<GeneratedBackend> SoloA = session().generate("RISCV");
   StatusOr<GeneratedBackend> SoloB = session().generate("XCORE");
   ASSERT_TRUE(SoloA.isOk() && SoloB.isOk());
-  EXPECT_EQ(render(*OutA), render(*SoloA));
-  EXPECT_EQ(render(*OutB), render(*SoloB));
+  using Unit = std::pair<VegaSession::GenerationHandle *, size_t>;
+  for (int Jobs : {1, 4}) {
+    session().setJobs(Jobs);
+    StatusOr<VegaSession::GenerationHandle> A =
+        session().beginGenerate("RISCV");
+    StatusOr<VegaSession::GenerationHandle> B =
+        session().beginGenerate("XCORE");
+    ASSERT_TRUE(A.isOk() && B.isOk());
+    EXPECT_EQ(A->target(), "RISCV");
+    EXPECT_EQ(B->target(), "XCORE");
+    ASSERT_GT(A->unitCount(), 0u);
+    ASSERT_GT(B->unitCount(), 0u);
+    const std::vector<VegaSession::GenerationHandle *> Handles = {&A.value(),
+                                                                  &B.value()};
+    size_t Ran = 0, Mixed = 0;
+    for (;;) {
+      std::vector<Unit> FanOut;
+      bool Claimed = true;
+      while (FanOut.size() < 3 && Claimed) {
+        Claimed = false;
+        for (VegaSession::GenerationHandle *H : Handles) {
+          if (FanOut.size() >= 3)
+            break;
+          if (std::optional<size_t> U = H->claimUnit()) {
+            FanOut.emplace_back(H, *U);
+            Claimed = true;
+          }
+        }
+      }
+      if (FanOut.empty())
+        break;
+      std::set<VegaSession::GenerationHandle *> Riders;
+      for (const Unit &U : FanOut)
+        Riders.insert(U.first);
+      Mixed += Riders.size() == Handles.size();
+      session().system().runGenerateUnits(FanOut);
+      Ran += FanOut.size();
+    }
+    EXPECT_EQ(Ran, A->unitCount() + B->unitCount()) << "jobs=" << Jobs;
+    EXPECT_GT(Mixed, 0u) << "jobs=" << Jobs;
+    EXPECT_TRUE(A->complete() && B->complete()) << "jobs=" << Jobs;
+    StatusOr<GeneratedBackend> OutA = session().finish(std::move(A.value()));
+    StatusOr<GeneratedBackend> OutB = session().finish(std::move(B.value()));
+    ASSERT_TRUE(OutA.isOk() && OutB.isOk()) << "jobs=" << Jobs;
+    EXPECT_EQ(render(*OutA), render(*SoloA)) << "jobs=" << Jobs;
+    EXPECT_EQ(render(*OutB), render(*SoloB)) << "jobs=" << Jobs;
+  }
+  session().setJobs(0);
 
   EXPECT_EQ(session().beginGenerate("Z80").status().code(),
             StatusCode::NotFound);
+}
+
+TEST(SessionCheckpoint, FinishRejectsFreshHandle) {
+  // finish() only folds; it runs no units, so a handle none of whose units
+  // ran fails typed.
+  StatusOr<VegaSession::GenerationHandle> H = session().beginGenerate("RISCV");
+  ASSERT_TRUE(H.isOk());
+  ASSERT_FALSE(H->complete());
+  StatusOr<GeneratedBackend> Out = session().finish(std::move(H.value()));
+  ASSERT_FALSE(Out.isOk());
+  EXPECT_EQ(Out.status().code(), StatusCode::FailedPrecondition);
+}
+
+TEST(SessionCheckpoint, FinishRejectsHandleWithClaimedUnitNotRun) {
+  // Every unit claimed, all but the last run: the unrun unit must not fold
+  // into the backend as an empty function or count in gen.functions.
+  StatusOr<VegaSession::GenerationHandle> H = session().beginGenerate("RISCV");
+  ASSERT_TRUE(H.isOk());
+  std::vector<std::pair<VegaSession::GenerationHandle *, size_t>> Units;
+  while (std::optional<size_t> U = H->claimUnit())
+    Units.emplace_back(&H.value(), *U);
+  ASSERT_GT(Units.size(), 1u);
+  Units.pop_back();
+  session().system().runGenerateUnits(Units);
+  ASSERT_FALSE(H->complete());
+
+  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::instance();
+  const bool WasEnabled = Metrics.enabled();
+  Metrics.setEnabled(true);
+  const uint64_t Before = Metrics.counterValue("gen.functions");
+  StatusOr<GeneratedBackend> Out = session().finish(std::move(H.value()));
+  const uint64_t After = Metrics.counterValue("gen.functions");
+  Metrics.setEnabled(WasEnabled);
+  EXPECT_EQ(Out.status().code(), StatusCode::FailedPrecondition);
+  EXPECT_EQ(After, Before);
 }
