@@ -188,10 +188,10 @@ StmtKind vega::classifyStatement(const std::vector<Token> &Tokens) {
   return StmtKind::Other;
 }
 
-Expected<FunctionAST> vega::parseFunction(std::string_view Source) {
+StatusOr<FunctionAST> vega::parseFunction(std::string_view Source) {
   std::vector<Token> Tokens = Lexer::tokenize(Source);
   if (Tokens.empty())
-    return makeError<FunctionAST>("empty function source");
+    return Status::invalidArgument("empty function source");
 
   // The definition statement runs to the first '{' at bracket depth 0.
   size_t DefEnd = 0;
@@ -206,7 +206,7 @@ Expected<FunctionAST> vega::parseFunction(std::string_view Source) {
       break;
   }
   if (DefEnd == Tokens.size())
-    return makeError<FunctionAST>("function has no body");
+    return Status::invalidArgument("function has no body");
 
   FunctionAST Function;
   Function.Definition.Kind = StmtKind::FunctionDef;
@@ -226,7 +226,8 @@ Expected<FunctionAST> vega::parseFunction(std::string_view Source) {
     break;
   }
   if (Function.Name.empty())
-    return makeError<FunctionAST>("cannot find function name in definition");
+    return Status::invalidArgument(
+        "cannot find function name in definition");
 
   StatementParser Parser(
       std::vector<Token>(Tokens.begin() + DefEnd + 1, Tokens.end()));

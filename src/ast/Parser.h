@@ -16,15 +16,16 @@
 #define VEGA_AST_PARSER_H
 
 #include "ast/Statement.h"
-#include "support/Error.h"
+#include "support/Status.h"
 
 #include <string_view>
 
 namespace vega {
 
 /// Parses one function definition (text from the "ret Type qual::name(...) {"
-/// line through its closing '}').
-Expected<FunctionAST> parseFunction(std::string_view Source);
+/// line through its closing '}'). InvalidArgument when the source has no
+/// tokens, no body, or no function name.
+StatusOr<FunctionAST> parseFunction(std::string_view Source);
 
 /// Parses a single statement line (no block body) into a Statement.
 /// Used to reconstruct statements from model output.

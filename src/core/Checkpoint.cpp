@@ -8,14 +8,12 @@
 #include "core/Checkpoint.h"
 
 #include "support/BinaryIO.h"
+#include "support/FileIO.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <functional>
 #include <iterator>
 #include <map>
-#include <sstream>
 
 using namespace vega;
 
@@ -317,9 +315,8 @@ StatusOr<std::string> SessionCheckpoint::serialize(const VegaSystem &System) {
 
   // FSEL.
   BinaryWriter Fsel;
-  std::vector<std::string> GlobalBools = System.globalBoolNames();
-  Fsel.u32(static_cast<uint32_t>(GlobalBools.size()));
-  for (const std::string &Name : GlobalBools)
+  Fsel.u32(static_cast<uint32_t>(System.GlobalBools.size()));
+  for (const std::string &Name : System.GlobalBools)
     Fsel.str(Name);
   std::vector<FeatureSelector::HarvestEntry> Harvests =
       System.Selector->harvestCacheSnapshot();
@@ -364,21 +361,7 @@ Status SessionCheckpoint::save(const VegaSystem &System,
   StatusOr<std::string> Blob = serialize(System);
   if (!Blob.isOk())
     return Blob.status();
-  std::string Tmp = Path + ".tmp";
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return Status::unavailable("cannot write '" + Tmp + "'");
-    Out.write(Blob->data(), static_cast<std::streamsize>(Blob->size()));
-    if (!Out)
-      return Status::unavailable("short write to '" + Tmp + "'");
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return Status::unavailable("cannot rename '" + Tmp + "' to '" + Path +
-                               "'");
-  }
-  return Status::ok();
+  return writeFile(Path, *Blob);
 }
 
 StatusOr<std::unique_ptr<VegaSystem>>
@@ -520,14 +503,12 @@ SessionCheckpoint::restore(const BackendCorpus &Corpus,
     uint32_t NBools = 0;
     if (!R.u32(NBools))
       return Status::dataLoss("FSEL section is malformed");
-    std::vector<std::string> GlobalBools;
     for (uint32_t I = 0; I < NBools; ++I) {
       std::string Name;
       if (!R.str(Name))
         return Status::dataLoss("FSEL section is malformed");
-      GlobalBools.push_back(std::move(Name));
+      System->GlobalBools.push_back(std::move(Name));
     }
-    System->setGlobalBoolNames(std::move(GlobalBools));
     uint32_t NHarvests = 0;
     if (!R.u32(NHarvests))
       return Status::dataLoss("FSEL section is malformed");
@@ -586,26 +567,21 @@ SessionCheckpoint::restore(const BackendCorpus &Corpus,
 
 StatusOr<std::unique_ptr<VegaSystem>>
 SessionCheckpoint::load(const BackendCorpus &Corpus, const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Status::unavailable("cannot open '" + Path + "'");
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  return restore(Corpus, Buffer.str());
+  StatusOr<std::string> Blob = readFile(Path);
+  if (!Blob.isOk())
+    return Blob.status();
+  return restore(Corpus, *Blob);
 }
 
 StatusOr<SessionCheckpoint::Info>
 SessionCheckpoint::inspect(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Status::unavailable("cannot open '" + Path + "'");
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Blob = Buffer.str();
+  StatusOr<std::string> Blob = readFile(Path);
+  if (!Blob.isOk())
+    return Blob.status();
 
   Info Result;
   std::vector<std::pair<std::string, std::string>> Sections;
-  if (Status St = parseSections(Blob, Result.Version, Sections); !St.isOk())
+  if (Status St = parseSections(*Blob, Result.Version, Sections); !St.isOk())
     return St;
   const std::string *Meta = findSection(Sections, "META");
   if (!Meta)

@@ -70,7 +70,7 @@ public:
   /// buildDataset(), and trainModel()/fineTune()) into an artifact blob.
   static StatusOr<std::string> serialize(const VegaSystem &System);
 
-  /// serialize() + atomic-ish write to \p Path (temp file + rename).
+  /// serialize() + an atomic replace of \p Path (support/FileIO writeFile).
   static Status save(const VegaSystem &System, const std::string &Path);
 
   /// Parses \p Blob and reconstructs a generation-ready VegaSystem over

@@ -12,6 +12,7 @@
 #include "obs/Metrics.h"
 #include "obs/Request.h"
 #include "obs/Trace.h"
+#include "support/FileIO.h"
 #include "support/RNG.h"
 #include "support/StringUtils.h"
 
@@ -20,10 +21,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <set>
-#include <sstream>
 
 using namespace vega;
 
@@ -127,47 +126,15 @@ uint64_t hashText(std::string_view Text) {
 
 } // namespace
 
-// Static storage for the global bool order, owned per system instance.
-// (Kept out of the header to keep the interface small.)
-namespace vega {
-namespace detail {
-struct VegaSystemState {
-  std::vector<std::string> GlobalBools;
-  /// Child statement → the primary value of its repeatable parent instance.
-  std::map<const Statement *, std::string> ChildCtx;
-  /// Eval targets = corpus targets minus training targets.
-  std::vector<std::string> EvalTargets;
-};
-} // namespace detail
-} // namespace vega
-
-static std::map<const VegaSystem *, vega::detail::VegaSystemState> &
-stateMap() {
-  // Intentionally leaked: VegaSystem instances held in function-local statics
-  // (e.g. a CLI's cached session) may outlive an ordinary function-local map,
-  // and ~VegaSystem must be able to erase its entry at any point of shutdown.
-  static auto *Map =
-      new std::map<const VegaSystem *, vega::detail::VegaSystemState>();
-  return *Map;
-}
-
 VegaSystem::VegaSystem(const BackendCorpus &Corpus, VegaOptions Options)
     : Corpus(Corpus), Options(Options) {
   std::vector<std::string> AllNames;
   for (const TargetTraits &T : Corpus.targets().targets())
     AllNames.push_back(T.Name);
   Selector = std::make_unique<FeatureSelector>(Corpus.vfs(), AllNames);
-
-  auto &State = stateMap()[this];
-  std::set<std::string> Training;
-  for (const std::string &N : Corpus.trainingTargetNames())
-    Training.insert(N);
-  for (const std::string &N : AllNames)
-    if (!Training.count(N))
-      State.EvalTargets.push_back(N);
 }
 
-VegaSystem::~VegaSystem() { stateMap().erase(this); }
+VegaSystem::~VegaSystem() = default;
 
 std::string VegaOptions::resolvedWeightCachePath() const {
   if (WeightCachePath.empty() || WeightCachePath.front() == '/')
@@ -179,14 +146,6 @@ std::string VegaOptions::resolvedWeightCachePath() const {
   if (Resolved.back() != '/')
     Resolved += '/';
   return Resolved + WeightCachePath;
-}
-
-std::vector<std::string> VegaSystem::globalBoolNames() const {
-  return stateMap().at(this).GlobalBools;
-}
-
-void VegaSystem::setGlobalBoolNames(std::vector<std::string> Names) {
-  stateMap()[this].GlobalBools = std::move(Names);
 }
 
 const TemplateInfo *
@@ -243,7 +202,7 @@ double VegaSystem::buildTemplates() {
     }
     Templates.push_back(std::move(TI));
   }
-  stateMap()[this].GlobalBools = globalBoolOrder(Templates);
+  GlobalBools = globalBoolOrder(Templates);
   obs::MetricsRegistry::instance().addCounter("stage1.templates",
                                               Templates.size());
   return StageSpan.close();
@@ -301,7 +260,6 @@ std::vector<std::string> VegaSystem::buildInputTokens(
     const TemplateInfo &TI, const TemplateRow &Row, const std::string &Target,
     const std::optional<std::string> &AssignedPrimary,
     const std::string &CtxValue) const {
-  const auto &State = stateMap().at(this);
   std::vector<std::string> Tokens;
   Tokens.push_back(Vocab::Cls);
   Tokens.push_back(TI.FT.InterfaceName);
@@ -310,7 +268,7 @@ std::vector<std::string> VegaSystem::buildInputTokens(
 
   // Boolean target-independent properties, in the fixed global order.
   Tokens.push_back(Vocab::Bools);
-  for (const std::string &Name : State.GlobalBools) {
+  for (const std::string &Name : GlobalBools) {
     if (!Options.UseTargetIndependentBools) {
       Tokens.push_back(Vocab::Null);
       continue;
@@ -404,8 +362,8 @@ double VegaSystem::analyticConfidence(const TemplateInfo &TI,
 void VegaSystem::collectPairsForTarget(const TemplateInfo &TI,
                                        const std::string &Target,
                                        bool Implements,
+                                       ChildContextMap &ChildCtx,
                                        std::vector<TextPair> &Out) {
-  auto &State = stateMap()[this];
   std::vector<const TemplateRow *> Rows = TI.FT.rows();
 
   auto MakeDst = [&](double Confidence,
@@ -468,7 +426,7 @@ void VegaSystem::collectPairsForTarget(const TemplateInfo &TI,
           Pair.Dst = MakeDst(CS, Match->Stmt->Tokens);
           // Record the context value for this instance's children.
           for (const auto &Child : Match->Stmt->Children)
-            State.ChildCtx[Child.get()] = Candidate;
+            ChildCtx[Child.get()] = Candidate;
         } else {
           Pair.Dst = MakeDst(0.0, Row->Tokens);
         }
@@ -480,8 +438,8 @@ void VegaSystem::collectPairsForTarget(const TemplateInfo &TI,
     // Non-repeatable rows: one example (present or absent).
     std::string Ctx;
     if (Has) {
-      auto CtxIt = State.ChildCtx.find(InstIt->second.front().Stmt);
-      if (CtxIt != State.ChildCtx.end())
+      auto CtxIt = ChildCtx.find(InstIt->second.front().Stmt);
+      if (CtxIt != ChildCtx.end())
         Ctx = CtxIt->second;
     }
     TextPair Pair;
@@ -499,11 +457,10 @@ void VegaSystem::collectPairsForTarget(const TemplateInfo &TI,
 
 void VegaSystem::buildDataset() {
   obs::Span StageSpan("stage1.build_dataset", "stage1");
-  auto &State = stateMap()[this];
   TrainTexts.clear();
   VerifyTexts.clear();
   TrainFunctions = VerifyFunctions = 0;
-  State.ChildCtx.clear();
+  ChildContextMap ChildCtx;
 
   std::vector<std::string> TrainingNames = Corpus.trainingTargetNames();
   std::set<std::string> BackendTrainSet;
@@ -543,7 +500,7 @@ void VegaSystem::buildDataset() {
       bool Implements = MemberSet.count(Target) != 0;
       bool InTrain = !Implements || TrainMembers.count(Target) != 0;
       std::vector<TextPair> Pairs;
-      collectPairsForTarget(TI, Target, Implements, Pairs);
+      collectPairsForTarget(TI, Target, Implements, ChildCtx, Pairs);
       if (InTrain) {
         if (Implements)
           ++TrainFunctions;
@@ -593,7 +550,6 @@ void VegaSystem::buildDataset() {
 }
 
 void VegaSystem::buildVocab() {
-  auto &State = stateMap()[this];
   Vocabulary = Vocab();
   auto AddAll = [&](const std::vector<TextPair> &Pairs) {
     for (const TextPair &P : Pairs) {
@@ -625,6 +581,11 @@ void VegaSystem::buildVocab() {
   // "ELFObjectWriter" → "RISCVELFObjectWriter"). This mirrors what subword
   // tokenization gives the paper's model for free.
   std::vector<std::string> TrainingNames = Corpus.trainingTargetNames();
+  std::set<std::string> Training(TrainingNames.begin(), TrainingNames.end());
+  std::vector<std::string> EvalTargets; // corpus targets minus training ones
+  for (const TargetTraits &T : Corpus.targets().targets())
+    if (!Training.count(T.Name))
+      EvalTargets.push_back(T.Name);
   std::vector<std::string> Composites;
   for (size_t Id = 0; Id < Vocabulary.size(); ++Id) {
     const std::string &Text = Vocabulary.textOf(static_cast<int>(Id));
@@ -632,7 +593,7 @@ void VegaSystem::buildVocab() {
       if (Text.size() <= N.size() || Text.compare(0, N.size(), N) != 0)
         continue;
       std::string Suffix = Text.substr(N.size());
-      for (const std::string &E : State.EvalTargets)
+      for (const std::string &E : EvalTargets)
         Composites.push_back(E + Suffix);
     }
   }
@@ -685,12 +646,10 @@ VegaSystem::initModelFromCache(std::string *Detail) {
   std::string CachePath = Options.resolvedWeightCachePath();
   if (CachePath.empty())
     return WeightCacheStatus::Disabled;
-  std::ifstream In(CachePath, std::ios::binary);
-  if (!In)
+  StatusOr<std::string> Read = readFile(CachePath);
+  if (!Read.isOk())
     return WeightCacheStatus::Missing;
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Blob = Buffer.str();
+  const std::string &Blob = *Read;
   auto Mismatch = [&](const char *Why) {
     if (Detail)
       *Detail = std::string(Why) + " ('" + CachePath + "')";
@@ -733,18 +692,16 @@ Status VegaSystem::fineTuneImpl() {
   if (!Result.isOk())
     return Result.status();
 
+  // Replaced atomically: a process starting mid-write reads the old cache
+  // or the new one, never a torn file.
   if (std::string CachePath = Options.resolvedWeightCachePath();
       !CachePath.empty()) {
-    std::ofstream Out(CachePath, std::ios::binary);
     std::string VocabBlob = Vocabulary.serialize();
     uint64_t VLen = VocabBlob.size();
-    Out.write(reinterpret_cast<const char *>(&VLen), sizeof(VLen));
-    Out.write(VocabBlob.data(), static_cast<long>(VocabBlob.size()));
-    std::string Weights = Model->saveWeights();
-    Out.write(Weights.data(), static_cast<long>(Weights.size()));
-    if (!Out)
-      return Status::unavailable("cannot write weight cache '" + CachePath +
-                                 "'");
+    std::string Blob(reinterpret_cast<const char *>(&VLen), sizeof(VLen));
+    Blob += VocabBlob;
+    Blob += Model->saveWeights();
+    return writeFile(CachePath, Blob);
   }
   return Status::ok();
 }
@@ -1040,11 +997,6 @@ void VegaSystem::setJobs(int Jobs) {
 GeneratedFunction VegaSystem::assembleFunction(const TemplateInfo &TI,
                                                const std::string &TargetName,
                                                const SiteChooser &Choose) {
-  // Inside a serve batch, attribute this function's spans to the request
-  // that asked for the target (first submitter under dedup). Outside a
-  // fan-out boundRequest is nullptr and the scope keeps the current
-  // context, so offline paths see no change.
-  obs::RequestScope ReqScope(obs::boundRequest(TargetName));
   // One span per function, named after its backend module so per-module
   // time (Fig. 7) is a plain aggregation over the trace. Worker-lane spans
   // carry their thread id (Perfetto shows one lane per worker).
@@ -1189,6 +1141,7 @@ VegaSystem::beginGenerate(const std::string &TargetName) {
   assert(Model && "trainModel() must run first");
   GenerationHandle H;
   H.Target = TargetName;
+  H.Request = obs::RequestContext::current();
   // Module availability is a property of the base compiler, not something
   // VEGA infers: xCORE's LLVM 3.0 port has no disassembler interface to
   // implement (§4.1.4), so its DIS templates are never instantiated.
@@ -1215,6 +1168,10 @@ void VegaSystem::runGenerateUnits(
   Pool->parallelFor(Units.size(), [&](size_t I) {
     GenerationHandle &H = *Units[I].first;
     const size_t U = Units[I].second;
+    // A fan-out can mix handles of several requests: each unit's spans go
+    // to the request that opened its handle. A handle opened outside any
+    // request keeps the lane's context (the caller's, via the pool).
+    obs::RequestScope ReqScope(H.Request);
     H.Results[U] = assembleFunction(*H.Units[U], H.Target);
   });
   for (const auto &[H, U] : Units)

@@ -24,6 +24,7 @@
 #include "support/ThreadPool.h"
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -31,6 +32,10 @@
 #include <utility>
 
 namespace vega {
+
+namespace obs {
+class RequestContext;
+} // namespace obs
 
 /// One analyzed function template: the template, its features, and derived
 /// per-row metadata.
@@ -241,6 +246,9 @@ public:
   /// are independent (each decodes one function against read-only system
   /// state), so units from any mix of handles can share one pool fan-out —
   /// the per-request currency of the serve scheduler's continuous batching.
+  /// A handle belongs to the request that was current when it opened: its
+  /// units' spans are attributed to that request on whatever lane runs
+  /// them.
   class GenerationHandle {
   public:
     GenerationHandle() = default;
@@ -260,6 +268,9 @@ public:
   private:
     friend class VegaSystem;
     std::string Target;
+    /// The request current at beginGenerate() (nullptr outside one). Not
+    /// owned: the opener keeps it alive until the handle's units have run.
+    obs::RequestContext *Request = nullptr;
     std::vector<const TemplateInfo *> Units;
     std::vector<GeneratedFunction> Results; ///< index-parallel with Units
     size_t Cursor = 0;                      ///< next unit to claim
@@ -275,8 +286,9 @@ public:
 
   /// Executes already-claimed (handle, unit) pairs as one fan-out over the
   /// shared worker pool — the serve scheduler's "one pass per step". Any
-  /// mix of handles can ride one call; units are marked executed on return.
-  /// Not reentrant (one fan-out at a time).
+  /// mix of handles can ride one call; each unit runs with its handle's
+  /// request current, and units are marked executed on return. Not
+  /// reentrant (one fan-out at a time).
   void
   runGenerateUnits(const std::vector<std::pair<GenerationHandle *, size_t>> &Units);
 
@@ -333,12 +345,6 @@ public:
   const VegaOptions &options() const { return Options; }
   const BackendCorpus &corpus() const { return Corpus; }
 
-  /// The fixed global ordering of updatable Boolean properties shared by
-  /// every feature vector (set by buildTemplates(), restored by a session
-  /// checkpoint load).
-  std::vector<std::string> globalBoolNames() const;
-  void setGlobalBoolNames(std::vector<std::string> Names);
-
   /// Eq. (1): the analytic confidence of row \p Row for \p Target.
   double analyticConfidence(const TemplateInfo &TI, const TemplateRow &Row,
                             const std::string &Target, bool Has) const;
@@ -361,8 +367,9 @@ public:
                                           const std::string &Target) const;
 
 private:
-  /// The session checkpoint reads/writes Templates, Vocabulary, Model,
-  /// StructuralTokens, and SpecialTokenIds directly (core/Checkpoint.cpp).
+  /// The session checkpoint reads/writes Templates, GlobalBools, Vocabulary,
+  /// Model, StructuralTokens, and SpecialTokenIds directly
+  /// (core/Checkpoint.cpp).
   friend class SessionCheckpoint;
 
   struct TextPair {
@@ -370,8 +377,14 @@ private:
     std::string Target; ///< which target produced this pair
   };
 
+  /// Child statement → the primary value of its repeatable parent instance,
+  /// filled by the positive repeatable-row pairs of one buildDataset() call
+  /// and read by the non-repeatable rows beneath them.
+  using ChildContextMap = std::map<const Statement *, std::string>;
+
   void collectPairsForTarget(const TemplateInfo &TI, const std::string &Target,
-                             bool Implements, std::vector<TextPair> &Out);
+                             bool Implements, ChildContextMap &ChildCtx,
+                             std::vector<TextPair> &Out);
   /// fineTune()/trainModel() body, span-free so both emit exactly one
   /// "stage2.train_model" span.
   Status fineTuneImpl();
@@ -401,6 +414,10 @@ private:
   const BackendCorpus &Corpus;
   VegaOptions Options;
   std::vector<TemplateInfo> Templates;
+  /// The fixed global ordering of updatable Boolean properties shared by
+  /// every feature vector (set by buildTemplates(), restored by a session
+  /// checkpoint load).
+  std::vector<std::string> GlobalBools;
   std::unique_ptr<FeatureSelector> Selector;
   std::vector<TextPair> TrainTexts, VerifyTexts;
   /// Per-example weights parallel to TrainTexts: empty until the first

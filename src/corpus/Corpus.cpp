@@ -12,6 +12,7 @@
 #include "corpus/SynthFramework.h"
 #include "corpus/SynthTargetDesc.h"
 #include "lexer/Lexer.h"
+#include "support/Error.h"
 
 #include <cassert>
 
@@ -95,16 +96,17 @@ void inlineForwardingHelper(FunctionAST &Outer,
 
 } // namespace
 
-Expected<FunctionAST> vega::preprocessFunctionSource(std::string_view Source) {
+StatusOr<FunctionAST> vega::preprocessFunctionSource(std::string_view Source) {
   std::vector<std::string> Pieces = splitFunctionSources(Source);
   if (Pieces.empty())
-    return makeError<FunctionAST>("no function definitions found in source");
+    return Status::invalidArgument(
+        "no function definitions found in source");
 
   std::vector<FunctionAST> Parsed;
   for (const std::string &Piece : Pieces) {
-    Expected<FunctionAST> F = parseFunction(Piece);
-    if (!F)
-      return makeError<FunctionAST>(F.getError());
+    StatusOr<FunctionAST> F = parseFunction(Piece);
+    if (!F.isOk())
+      return F.status();
     Parsed.push_back(std::move(*F));
   }
 
@@ -137,10 +139,11 @@ BackendCorpus BackendCorpus::build(const TargetDatabase &DB) {
       F->TargetName = Traits.Name;
       F->Module = Spec.Module;
       F->Source = Spec.Render(Traits);
-      Expected<FunctionAST> AST = preprocessFunctionSource(F->Source);
-      if (!AST)
+      StatusOr<FunctionAST> AST = preprocessFunctionSource(F->Source);
+      if (!AST.isOk())
         reportFatalError("golden source for " + Spec.Name + " on " +
-                         Traits.Name + " failed to parse: " + AST.getError());
+                         Traits.Name +
+                         " failed to parse: " + AST.status().message());
       F->AST = std::move(*AST);
       assert(F->AST.Name == Spec.Name &&
              "rendered function name must match its interface spec");

@@ -17,7 +17,7 @@
 #define VEGA_CORPUS_CORPUS_H
 
 #include "ast/Statement.h"
-#include "support/Error.h"
+#include "support/Status.h"
 #include "corpus/GoldenBackend.h"
 #include "corpus/TargetTraits.h"
 #include "support/VirtualFileSystem.h"
@@ -62,8 +62,9 @@ std::vector<std::string> splitFunctionSources(std::string_view Source);
 
 /// Parses \p Source (one or more functions), inlines single-call helper
 /// forwarding ("return GetRelocTypeInner(...)"), normalizes selection
-/// statements, and returns the interface function's AST.
-Expected<FunctionAST> preprocessFunctionSource(std::string_view Source);
+/// statements, and returns the interface function's AST. InvalidArgument
+/// when the source holds no function or any function fails to parse.
+StatusOr<FunctionAST> preprocessFunctionSource(std::string_view Source);
 
 /// The assembled corpus.
 class BackendCorpus {

@@ -196,3 +196,15 @@ const char *vega::eval::oracleKindName(OracleKind Kind) {
   }
   return "text";
 }
+
+OracleRoles vega::eval::oracleRoles(OracleKind Kind) {
+  switch (Kind) {
+  case OracleKind::Text:
+    return {&textOracle(), nullptr};
+  case OracleKind::Differential:
+    return {&differentialOracle(), &differentialOracle()};
+  case OracleKind::Both:
+    return {&textOracle(), &differentialOracle()};
+  }
+  return {&textOracle(), nullptr};
+}

@@ -161,6 +161,16 @@ enum class OracleKind {
 std::optional<OracleKind> parseOracleKind(const std::string &Name);
 const char *oracleKindName(OracleKind Kind);
 
+/// What an OracleKind selects: the oracle that gates (pass@1, repair
+/// flagging and acceptance) and the optional classifier that censuses the
+/// gate's failures. The one meaning of `--oracle` for evaluate, repair,
+/// serve and the flywheel.
+struct OracleRoles {
+  const Oracle *Primary = nullptr;    ///< never null
+  const Oracle *Classifier = nullptr; ///< null for OracleKind::Text
+};
+OracleRoles oracleRoles(OracleKind Kind);
+
 } // namespace eval
 } // namespace vega
 

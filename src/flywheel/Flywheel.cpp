@@ -14,6 +14,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "repair/RepairEngine.h"
+#include "support/FileIO.h"
 
 #include <cerrno>
 #include <cmath>
@@ -71,38 +72,6 @@ std::string hex64(uint64_t V) {
   std::snprintf(Buf, sizeof(Buf), "%016llx",
                 static_cast<unsigned long long>(V));
   return Buf;
-}
-
-StatusOr<std::string> readFile(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return Status::notFound("cannot open '" + Path +
-                            "': " + std::strerror(errno));
-  std::string Out;
-  char Buf[65536];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  bool Bad = std::ferror(F);
-  std::fclose(F);
-  if (Bad)
-    return Status::unavailable("error reading '" + Path + "'");
-  return Out;
-}
-
-Status writeFile(const std::string &Path, const std::string &Data) {
-  std::string Tmp = Path + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return Status::unavailable("cannot write '" + Tmp +
-                               "': " + std::strerror(errno));
-  bool Ok = std::fwrite(Data.data(), 1, Data.size(), F) == Data.size();
-  Ok = (std::fclose(F) == 0) && Ok;
-  if (!Ok || std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return Status::unavailable("cannot write '" + Path + "'");
-  }
-  return Status::ok();
 }
 
 std::string genPath(const std::string &Dir, int Gen, const char *Suffix) {
@@ -443,17 +412,9 @@ StatusOr<FlywheelReport> FlywheelEngine::run() {
   ROpts.Jobs = Options.Jobs;
   ROpts.CollectRejected = Options.HarvestNegatives;
   ROpts.RejectedConfidenceFloor = Options.NegativeConfidenceFloor;
-  switch (Options.Oracle) {
-  case eval::OracleKind::Text:
-    break; // defaults: text gate, no classifier
-  case eval::OracleKind::Differential:
-    ROpts.OracleImpl = &eval::differentialOracle();
-    ROpts.Classifier = &eval::differentialOracle();
-    break;
-  case eval::OracleKind::Both:
-    ROpts.Classifier = &eval::differentialOracle();
-    break;
-  }
+  const eval::OracleRoles Roles = eval::oracleRoles(Options.Oracle);
+  ROpts.OracleImpl = Roles.Primary;
+  ROpts.Classifier = Roles.Classifier;
   repair::RepairEngine Engine(System, ROpts);
 
   // One generate + repair pass over every target — the evaluation unit the

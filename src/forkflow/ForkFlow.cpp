@@ -8,6 +8,7 @@
 #include "forkflow/ForkFlow.h"
 
 #include "obs/Trace.h"
+#include "support/Error.h"
 #include "support/StringUtils.h"
 
 #include <cctype>
@@ -93,8 +94,8 @@ GeneratedBackend vega::forkflowBackend(const BackendCorpus &Corpus,
                         lowerOf(NewTarget));
     Ported = replaceAll(std::move(Ported), upperOf(SourceTarget),
                         upperOf(NewTarget));
-    Expected<FunctionAST> AST = preprocessFunctionSource(Ported);
-    if (!AST) {
+    StatusOr<FunctionAST> AST = preprocessFunctionSource(Ported);
+    if (!AST.isOk()) {
       GF.Emitted = false;
     } else {
       GF.AST = std::move(*AST);

@@ -20,40 +20,25 @@ namespace {
 std::atomic<uint64_t> NextRequestId{1};
 
 thread_local RequestContext *CurrentRequestTL = nullptr;
-thread_local const RequestRouter *CurrentRouterTL = nullptr;
 
-/// Snapshot of both ambient thread-locals, hopped across ThreadPool lanes.
-struct AmbientContext {
-  RequestContext *Request = nullptr;
-  const RequestRouter *Router = nullptr;
-};
-
-/// Registers the obs propagator with the (lower-level) support ThreadPool.
-/// Runs at static-init time of vega_obs, before any pool exists.
+/// Registers the obs propagator with the (lower-level) support ThreadPool:
+/// the caller's current request hops to every lane of a fan-out. Runs at
+/// static-init time of vega_obs, before any pool exists.
 const bool PropagatorRegistered = [] {
   ThreadPool::ContextPropagator Propagator;
   Propagator.Capture = []() -> std::shared_ptr<void> {
-    if (!CurrentRequestTL && !CurrentRouterTL)
+    if (!CurrentRequestTL)
       return nullptr;
-    auto Snapshot = std::make_shared<AmbientContext>();
-    Snapshot->Request = CurrentRequestTL;
-    Snapshot->Router = CurrentRouterTL;
-    return Snapshot;
+    return std::make_shared<RequestContext *>(CurrentRequestTL);
   };
   Propagator.Install =
       [](const std::shared_ptr<void> &Ctx) -> std::shared_ptr<void> {
-    auto Prior = std::make_shared<AmbientContext>();
-    Prior->Request = CurrentRequestTL;
-    Prior->Router = CurrentRouterTL;
-    const auto *Snapshot = static_cast<const AmbientContext *>(Ctx.get());
-    CurrentRequestTL = Snapshot->Request;
-    CurrentRouterTL = Snapshot->Router;
+    auto Prior = std::make_shared<RequestContext *>(CurrentRequestTL);
+    CurrentRequestTL = *static_cast<RequestContext *const *>(Ctx.get());
     return Prior;
   };
   Propagator.Restore = [](const std::shared_ptr<void> &Prior) {
-    const auto *Snapshot = static_cast<const AmbientContext *>(Prior.get());
-    CurrentRequestTL = Snapshot->Request;
-    CurrentRouterTL = Snapshot->Router;
+    CurrentRequestTL = *static_cast<RequestContext *const *>(Prior.get());
   };
   ThreadPool::setContextPropagator(std::move(Propagator));
   return true;
@@ -137,28 +122,4 @@ RequestScope::RequestScope(RequestContext *Ctx) {
 RequestScope::~RequestScope() {
   if (Installed)
     CurrentRequestTL = Prev;
-}
-
-void RequestRouter::bind(const std::string &Key, RequestContext *Ctx) {
-  if (!Ctx)
-    return;
-  ByKey.emplace(Key, Ctx); // first bind wins
-}
-
-RequestContext *RequestRouter::lookup(const std::string &Key) const {
-  auto It = ByKey.find(Key);
-  return It == ByKey.end() ? nullptr : It->second;
-}
-
-const RequestRouter *RequestRouter::current() { return CurrentRouterTL; }
-
-RouterScope::RouterScope(const RequestRouter *Router) : Prev(CurrentRouterTL) {
-  CurrentRouterTL = Router;
-}
-
-RouterScope::~RouterScope() { CurrentRouterTL = Prev; }
-
-RequestContext *obs::boundRequest(const std::string &Key) {
-  const RequestRouter *Router = CurrentRouterTL;
-  return Router ? Router->lookup(Key) : nullptr;
 }

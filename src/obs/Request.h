@@ -12,14 +12,9 @@
 /// "flight recorder" dumped for slow requests). A thread-local current
 /// context is installed with RequestScope; Span picks it up automatically,
 /// tagging every recorded trace event with its originating request ID and
-/// appending a lightweight record to the ring buffer.
-///
-/// Batched fan-outs (one scheduler step running units of several requests)
-/// install a RequestRouter mapping a work key — the target name — to the
-/// originating request, so per-item code can rebind the correct context
-/// with `RequestScope Scope(boundRequest(Key))`. Both thread-locals hop
-/// across ThreadPool lanes via the pool's context propagator, which this
-/// translation unit registers at static-init time.
+/// appending a lightweight record to the ring buffer. The current context
+/// hops across ThreadPool lanes via the pool's context propagator, which
+/// this translation unit registers at static-init time.
 ///
 /// Outside a request (every offline vega-cli / bench path) the only cost is
 /// one thread-local load per span — the near-zero disabled path is intact.
@@ -31,7 +26,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -107,8 +101,9 @@ private:
 };
 
 /// RAII installer for the thread-local current request. A null \p Ctx keeps
-/// whatever context is already current (so per-item rebinding code can pass
-/// the possibly-null result of boundRequest() unconditionally).
+/// whatever context is already current, so code that rebinds to a possibly
+/// absent owner (a generation handle opened outside any request) needs no
+/// branch.
 class RequestScope {
 public:
   explicit RequestScope(RequestContext *Ctx);
@@ -120,38 +115,6 @@ private:
   RequestContext *Prev = nullptr;
   bool Installed = false;
 };
-
-/// Key → originating-request map for one batched fan-out. The first bind
-/// for a key wins: when several batched requests dedup onto one generation,
-/// the spans are attributed to the request that caused the work.
-class RequestRouter {
-public:
-  void bind(const std::string &Key, RequestContext *Ctx);
-  RequestContext *lookup(const std::string &Key) const;
-  size_t size() const { return ByKey.size(); }
-
-  /// The calling thread's current router (nullptr outside a fan-out).
-  static const RequestRouter *current();
-
-private:
-  std::map<std::string, RequestContext *> ByKey;
-};
-
-/// RAII installer for the thread-local current router.
-class RouterScope {
-public:
-  explicit RouterScope(const RequestRouter *Router);
-  ~RouterScope();
-  RouterScope(const RouterScope &) = delete;
-  RouterScope &operator=(const RouterScope &) = delete;
-
-private:
-  const RequestRouter *Prev = nullptr;
-};
-
-/// The request bound to \p Key under the current router; nullptr when no
-/// router is installed or the key is unbound.
-RequestContext *boundRequest(const std::string &Key);
 
 } // namespace obs
 } // namespace vega

@@ -188,8 +188,13 @@ void Scheduler::admitLocked() {
     if (P.W.Ctx)
       obs::MetricsRegistry::instance().observe("serve.queue_ms",
                                                P.W.Ctx->elapsedMs());
-    StatusOr<VegaSession::GenerationHandle> Handle =
-        Session.beginGenerate(P.Target);
+    // The handle belongs to the request that opens it: every gen.* span of
+    // this generation is attributed to it, including work done on behalf
+    // of requests that attach later (first submitter wins under dedup).
+    StatusOr<VegaSession::GenerationHandle> Handle = [&] {
+      obs::RequestScope OpenerScope(P.W.Ctx.get());
+      return Session.beginGenerate(P.Target);
+    }();
     if (!Handle.isOk()) {
       failWaiter(std::move(P.W), Handle.status());
       continue;
@@ -235,21 +240,12 @@ void Scheduler::stepOnce() {
   if (Units.empty())
     return;
 
-  // Attribute each target's generation spans to the first request that
-  // asked for it; the router thread-local hops pool lanes with the fan-out
-  // so every gen.* span lands in the right flight-recorder ring.
-  obs::RequestRouter Router;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (ActiveGeneration &G : Active)
-      if (!G.Waiters.empty() && G.Waiters.front().Ctx)
-        Router.bind(G.Target, G.Waiters.front().Ctx.get());
-  }
   auto &Metrics = obs::MetricsRegistry::instance();
   Metrics.addCounter("serve.sched.steps");
   Metrics.observe("serve.batch_size", static_cast<double>(Active.size()));
   {
-    obs::RouterScope RouteScope(&Router);
+    // Each unit's spans land in the flight-recorder ring of the request
+    // that opened its handle (see admitLocked).
     std::lock_guard<std::mutex> EngineLock(EngineMu);
     Session.system().runGenerateUnits(Units);
   }

@@ -246,11 +246,11 @@ void VegaServer::dispatch(std::string Line,
   // each request still gets its own serve.request span, counters, and log
   // line.
   auto R = std::make_shared<RpcRequest>(std::move(Request));
-  eval::OracleKind Kind = *Oracle;
+  const eval::OracleRoles Roles = eval::oracleRoles(*Oracle);
   Status Submitted = Sched->submit(
       Target, Ctx,
-      [this, R, Ctx, Promise, Target, Kind](const GeneratedBackend *Gen,
-                                            const Status &St) {
+      [this, R, Ctx, Promise, Target, Roles](const GeneratedBackend *Gen,
+                                             const Status &St) {
         resolve(Promise, runRequest(*Ctx, R->Method, Target, [&]() -> Json {
           if (!St.isOk())
             return makeRpcError(R->Id, St);
@@ -268,17 +268,8 @@ void VegaServer::dispatch(std::string Line,
                 R->Params.getNumber("maxRounds", Opts.MaxRounds));
             Opts.CSThreshold =
                 R->Params.getNumber("csThreshold", Opts.CSThreshold);
-            switch (Kind) {
-            case eval::OracleKind::Text:
-              break; // defaults: text gate, no classifier
-            case eval::OracleKind::Differential:
-              Opts.OracleImpl = &eval::differentialOracle();
-              Opts.Classifier = &eval::differentialOracle();
-              break;
-            case eval::OracleKind::Both:
-              Opts.Classifier = &eval::differentialOracle();
-              break;
-            }
+            Opts.OracleImpl = Roles.Primary;
+            Opts.Classifier = Roles.Classifier;
             repair::RepairEngine Engine(Session.system(), Opts);
             StatusOr<repair::RepairReport> Report = [&] {
               std::lock_guard<std::mutex> EngineLock(Sched->engineMutex());
@@ -294,15 +285,8 @@ void VegaServer::dispatch(std::string Line,
             return makeRpcError(
                 R->Id, Status::failedPrecondition("target '" + Target +
                                                   "' has no golden backend"));
-          const eval::Oracle &Primary = Kind == eval::OracleKind::Differential
-                                            ? static_cast<const eval::Oracle &>(
-                                                  eval::differentialOracle())
-                                            : eval::textOracle();
-          const eval::Oracle *Classifier =
-              Kind == eval::OracleKind::Text ? nullptr
-                                             : &eval::differentialOracle();
-          BackendEval Eval =
-              evaluateBackend(*Gen, *Golden, *Traits, Primary, Classifier);
+          BackendEval Eval = evaluateBackend(*Gen, *Golden, *Traits,
+                                             *Roles.Primary, Roles.Classifier);
           return makeRpcResult(R->Id, evalToJson(Eval));
         }));
       });

@@ -25,10 +25,11 @@
 ///
 /// Observability: each submitted line gets a RequestContext (monotonic id,
 /// deadline, span flight-recorder ring) at submission time, so measured
-/// latency includes queue wait. The scheduler routes the context onto
-/// every generation span via RequestRouter — a `gen.*` span recorded while
-/// serving carries its originating request id. Counters/histograms go to
-/// the process MetricsRegistry (serve.requests — total and labeled by
+/// latency includes queue wait. The scheduler opens each generation in
+/// its first request's context, and the generation handle carries that
+/// request to every lane that runs its units — a `gen.*` span recorded
+/// while serving carries its originating request id. Counters/histograms
+/// go to the process MetricsRegistry (serve.requests — total and labeled by
 /// {method,code} — serve.errors, serve.batch_size, serve.queue_ms,
 /// serve.request_ms, the serve.sched.* counters, and the
 /// serve.queue_depth / serve.active gauges); the `stats` method returns a

@@ -1,4 +1,4 @@
-//===- support/Error.h - Lightweight error handling -------------*- C++ -*-===//
+//===- support/Error.h - Fatal invariant violations -------------*- C++ -*-===//
 //
 // Part of the VEGA reproduction project.
 // SPDX-License-Identifier: Apache-2.0 WITH LLVM-exception
@@ -6,21 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lightweight recoverable-error utilities in the spirit of llvm::Expected.
-/// Library code never throws; programmatic errors use assert(), recoverable
-/// errors flow through Expected<T>.
+/// The unrecoverable half of error handling. Library code never throws;
+/// programmatic errors use assert(), invariant violations that must be
+/// diagnosed even in release builds use reportFatalError(), and every
+/// recoverable error is a typed Status (support/Status.h).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef VEGA_SUPPORT_ERROR_H
 #define VEGA_SUPPORT_ERROR_H
 
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
-#include <utility>
 
 namespace vega {
 
@@ -29,51 +27,6 @@ namespace vega {
 [[noreturn]] inline void reportFatalError(const std::string &Message) {
   std::fprintf(stderr, "vega fatal error: %s\n", Message.c_str());
   std::abort();
-}
-
-/// A value-or-error carrier. On failure it holds a human-readable message in
-/// the style of LLVM error strings (lowercase first word, no trailing period).
-template <typename T> class Expected {
-public:
-  /// Constructs a success value.
-  Expected(T Value) : Value(std::move(Value)) {}
-
-  /// Constructs a failure; use via makeError().
-  struct ErrorTag {};
-  Expected(ErrorTag, std::string Message) : Message(std::move(Message)) {}
-
-  /// True on success.
-  explicit operator bool() const { return Value.has_value(); }
-
-  /// Returns the contained value; asserts on failure.
-  T &operator*() {
-    assert(Value && "dereferencing an error Expected");
-    return *Value;
-  }
-  const T &operator*() const {
-    assert(Value && "dereferencing an error Expected");
-    return *Value;
-  }
-  T *operator->() {
-    assert(Value && "dereferencing an error Expected");
-    return &*Value;
-  }
-  const T *operator->() const {
-    assert(Value && "dereferencing an error Expected");
-    return &*Value;
-  }
-
-  /// Returns the error message (empty on success).
-  const std::string &getError() const { return Message; }
-
-private:
-  std::optional<T> Value;
-  std::string Message;
-};
-
-/// Builds a failure Expected with \p Message.
-template <typename T> Expected<T> makeError(std::string Message) {
-  return Expected<T>(typename Expected<T>::ErrorTag{}, std::move(Message));
 }
 
 } // namespace vega

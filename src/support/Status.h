@@ -13,8 +13,9 @@
 /// daemon maps them to JSON-RPC error codes, so one error travels unchanged
 /// from the library to either consumer.
 ///
-/// Expected<T> (support/Error.h) remains the carrier for low-level parsing
-/// utilities; Status/StatusOr is the public-API surface.
+/// Status/StatusOr is the one recoverable-error carrier, down to the source
+/// parser (parseFunction rejects with InvalidArgument); support/Error.h
+/// keeps only the fatal path.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -34,14 +34,14 @@ unsigned ARMELFObjectWriter::getRelocType(const MCValue &Target, const MCFixup &
 
 TEST(Parser, ParsesFunctionNameAndQualifier) {
   auto Fn = parseFunction(RelocSource);
-  ASSERT_TRUE(static_cast<bool>(Fn));
+  ASSERT_TRUE(Fn.isOk());
   EXPECT_EQ(Fn->Name, "getRelocType");
   EXPECT_EQ(Fn->Qualifier, "ARMELFObjectWriter");
 }
 
 TEST(Parser, BuildsNestedStatementTree) {
   auto Fn = parseFunction(RelocSource);
-  ASSERT_TRUE(static_cast<bool>(Fn));
+  ASSERT_TRUE(Fn.isOk());
   ASSERT_EQ(Fn->Body.size(), 3u); // decl, if, return
   EXPECT_EQ(Fn->Body[0]->Kind, StmtKind::Decl);
   EXPECT_EQ(Fn->Body[1]->Kind, StmtKind::If);
@@ -59,10 +59,10 @@ TEST(Parser, BuildsNestedStatementTree) {
 
 TEST(Parser, RenderReparseRoundTripPreservesTokens) {
   auto Fn = parseFunction(RelocSource);
-  ASSERT_TRUE(static_cast<bool>(Fn));
+  ASSERT_TRUE(Fn.isOk());
   std::string Rendered = Fn->render();
   auto Fn2 = parseFunction(Rendered);
-  ASSERT_TRUE(static_cast<bool>(Fn2));
+  ASSERT_TRUE(Fn2.isOk());
   auto Flat1 = Fn->flatten();
   auto Flat2 = Fn2->flatten();
   ASSERT_EQ(Flat1.size(), Flat2.size());
@@ -84,7 +84,7 @@ int f(int x) {
 }
 )";
   auto Fn = parseFunction(Src);
-  ASSERT_TRUE(static_cast<bool>(Fn));
+  ASSERT_TRUE(Fn.isOk());
   ASSERT_EQ(Fn->Body.size(), 3u);
   EXPECT_EQ(Fn->Body[0]->Kind, StmtKind::If);
   EXPECT_EQ(Fn->Body[1]->Kind, StmtKind::ElseIf);
@@ -92,7 +92,7 @@ int f(int x) {
 
   // Round trip keeps the chain.
   auto Fn2 = parseFunction(Fn->render());
-  ASSERT_TRUE(static_cast<bool>(Fn2));
+  ASSERT_TRUE(Fn2.isOk());
   EXPECT_EQ(Fn2->Body.size(), 3u);
 }
 
@@ -110,20 +110,22 @@ TEST(Parser, ClassifiesStatements) {
 }
 
 TEST(Parser, RejectsGarbage) {
-  EXPECT_FALSE(static_cast<bool>(parseFunction("")));
-  EXPECT_FALSE(static_cast<bool>(parseFunction("int x;")));
+  // Empty source, no body, no function name: each a typed rejection.
+  for (const char *Src : {"", "int x;", "{ return 1; }"})
+    EXPECT_EQ(parseFunction(Src).status().code(), StatusCode::InvalidArgument)
+        << '"' << Src << '"';
 }
 
 TEST(Statement, TreeSizeCountsSubtree) {
   auto Fn = parseFunction(RelocSource);
-  ASSERT_TRUE(static_cast<bool>(Fn));
+  ASSERT_TRUE(Fn.isOk());
   // definition + decl + if + switch + case + return + default + call + ret.
   EXPECT_EQ(Fn->size(), 9u);
 }
 
 TEST(Statement, CloneIsDeep) {
   auto Fn = parseFunction(RelocSource);
-  ASSERT_TRUE(static_cast<bool>(Fn));
+  ASSERT_TRUE(Fn.isOk());
   FunctionAST Copy = Fn->clone();
   // Mutating the copy must not affect the original.
   Copy.Body[0]->Tokens.clear();
@@ -151,7 +153,7 @@ int f(int x) {
 }
 )";
   auto Fn = parseFunction(Src);
-  ASSERT_TRUE(static_cast<bool>(Fn));
+  ASSERT_TRUE(Fn.isOk());
   unsigned Rewritten = normalizeSelectionStatements(*Fn);
   EXPECT_EQ(Rewritten, 1u);
   ASSERT_EQ(Fn->Body.size(), 1u);
@@ -172,7 +174,7 @@ int f(int x) {
 }
 )";
   auto Fn = parseFunction(Src);
-  ASSERT_TRUE(static_cast<bool>(Fn));
+  ASSERT_TRUE(Fn.isOk());
   EXPECT_EQ(normalizeSelectionStatements(*Fn), 0u);
   EXPECT_EQ(Fn->Body[0]->Kind, StmtKind::If);
 }
@@ -189,7 +191,7 @@ int f(int x) {
 }
 )";
   auto Fn = parseFunction(Src);
-  ASSERT_TRUE(static_cast<bool>(Fn));
+  ASSERT_TRUE(Fn.isOk());
   EXPECT_EQ(normalizeSelectionStatements(*Fn), 0u);
 }
 
@@ -205,6 +207,6 @@ int f(int x, int y) {
 }
 )";
   auto Fn = parseFunction(Src);
-  ASSERT_TRUE(static_cast<bool>(Fn));
+  ASSERT_TRUE(Fn.isOk());
   EXPECT_EQ(normalizeSelectionStatements(*Fn), 0u);
 }

@@ -105,7 +105,7 @@ unsigned W::GetRelocTypeInner(int K) {
 }
 )";
   auto Fn = preprocessFunctionSource(Src);
-  ASSERT_TRUE(static_cast<bool>(Fn));
+  ASSERT_TRUE(Fn.isOk());
   EXPECT_EQ(Fn->Name, "getRelocType");
   // The body is the helper's, not the forwarding return.
   ASSERT_EQ(Fn->Body.size(), 2u);
@@ -170,7 +170,7 @@ TEST(Corpus, GoldenSourcesReparseToTheirOwnRender) {
   for (const auto &B : Corpus.backends()) {
     for (const auto &F : B->Functions) {
       auto Fn2 = parseFunction(F->AST.render());
-      ASSERT_TRUE(static_cast<bool>(Fn2))
+      ASSERT_TRUE(Fn2.isOk())
           << B->TargetName << "::" << F->InterfaceName;
       EXPECT_EQ(Fn2->size(), F->AST.size())
           << B->TargetName << "::" << F->InterfaceName;

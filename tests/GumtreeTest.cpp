@@ -66,7 +66,7 @@ TEST(Similarity, DifferentKindsArePenalized) {
 TEST(Hashing, SubtreeHashSeesChildren) {
   auto F1 = parseFunction("int f() {\n if (x) {\n return 1;\n }\n}");
   auto F2 = parseFunction("int f() {\n if (x) {\n return 2;\n }\n}");
-  ASSERT_TRUE(static_cast<bool>(F1) && static_cast<bool>(F2));
+  ASSERT_TRUE(F1.isOk() && F2.isOk());
   EXPECT_EQ(statementShapeHash(*F1->Body[0]), statementShapeHash(*F2->Body[0]));
   EXPECT_NE(statementSubtreeHash(*F1->Body[0]),
             statementSubtreeHash(*F2->Body[0]));
@@ -110,7 +110,7 @@ unsigned MipsELFObjectWriter::getRelocType(const MCValue &Target, const MCFixup 
 TEST(Matcher, AlignsThePaperExample) {
   auto A = parseFunction(ArmReloc);
   auto M = parseFunction(MipsReloc);
-  ASSERT_TRUE(static_cast<bool>(A) && static_cast<bool>(M));
+  ASSERT_TRUE(A.isOk() && M.isOk());
   TreeMapping Mapping = matchFunctions(*A, *M);
 
   // Definitions always match.
@@ -126,7 +126,7 @@ TEST(Matcher, AlignsThePaperExample) {
 TEST(Matcher, IdenticalFunctionsMatchCompletely) {
   auto A = parseFunction(ArmReloc);
   auto B = parseFunction(ArmReloc);
-  ASSERT_TRUE(static_cast<bool>(A) && static_cast<bool>(B));
+  ASSERT_TRUE(A.isOk() && B.isOk());
   TreeMapping Mapping = matchFunctions(*A, *B);
   EXPECT_EQ(Mapping.size(), A->size());
   for (const auto &FS : A->flatten())
@@ -136,7 +136,7 @@ TEST(Matcher, IdenticalFunctionsMatchCompletely) {
 TEST(Matcher, MappingIsOneToOne) {
   auto A = parseFunction(ArmReloc);
   auto M = parseFunction(MipsReloc);
-  ASSERT_TRUE(static_cast<bool>(A) && static_cast<bool>(M));
+  ASSERT_TRUE(A.isOk() && M.isOk());
   TreeMapping Mapping = matchFunctions(*A, *M);
   std::set<const Statement *> Seen;
   for (const auto &FS : A->flatten()) {
@@ -151,7 +151,7 @@ TEST(Matcher, MappingIsOneToOne) {
 TEST(Matcher, EmptyBodiesStillMatchDefinitions) {
   auto A = parseFunction("int f() {\n}");
   auto B = parseFunction("int f() {\n}");
-  ASSERT_TRUE(static_cast<bool>(A) && static_cast<bool>(B));
+  ASSERT_TRUE(A.isOk() && B.isOk());
   TreeMapping Mapping = matchFunctions(*A, *B);
   EXPECT_EQ(Mapping.size(), 1u);
 }

@@ -17,7 +17,7 @@ namespace {
 
 ExecResult runSource(const char *Src, const Environment &Env) {
   auto Fn = parseFunction(Src);
-  EXPECT_TRUE(static_cast<bool>(Fn)) << Fn.getError();
+  EXPECT_TRUE(Fn.isOk()) << Fn.status().toString();
   Interpreter Interp;
   return Interp.run(*Fn, Env);
 }
@@ -231,7 +231,7 @@ TEST(Interp, StepBudgetStopsRunaways) {
     Src += "  foo" + std::to_string(I) + "(1);\n";
   Src += "  return 0;\n}";
   auto Fn = parseFunction(Src);
-  ASSERT_TRUE(static_cast<bool>(Fn));
+  ASSERT_TRUE(Fn.isOk());
   Interpreter Interp;
   ExecResult R = Interp.run(*Fn, {}, /*StepBudget=*/10);
   EXPECT_EQ(R.St, ExecResult::Status::Error);

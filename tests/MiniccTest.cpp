@@ -152,7 +152,7 @@ TEST(Hooks, InterpretedGoldenHooksMatchTraitsHooks) {
 TEST(Hooks, BrokenLatencyFunctionFallsBackGracefully) {
   const TargetTraits *T = sharedDB().find("RISCV");
   auto Broken = parseFunction("int f(MachineInstr &MI) {\n return XX(1);\n}");
-  ASSERT_TRUE(static_cast<bool>(Broken));
+  ASSERT_TRUE(Broken.isOk());
   std::map<std::string, const FunctionAST *> Fns = {
       {"getInstrLatency", &*Broken}};
   BackendHooks Hooks = hooksFromFunctions(*T, Fns);

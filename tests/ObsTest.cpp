@@ -671,51 +671,25 @@ TEST_F(ObsTest, RequestDeadlines) {
   EXPECT_FALSE(Roomy.expired());
 }
 
-TEST_F(ObsTest, RouterBindsFirstWinsAndRebinds) {
-  RequestContext A("one"), B("two");
-  RequestRouter Router;
-  Router.bind("RISCV", &A);
-  Router.bind("RISCV", &B); // dedup: the first submitter keeps the work
-  Router.bind("XCORE", &B);
-  EXPECT_EQ(Router.size(), 2u);
-  EXPECT_EQ(Router.lookup("RISCV"), &A);
-  EXPECT_EQ(Router.lookup("XCORE"), &B);
-  EXPECT_EQ(Router.lookup("missing"), nullptr);
-  EXPECT_EQ(boundRequest("RISCV"), nullptr); // no router installed yet
-  RouterScope Scope(&Router);
-  EXPECT_EQ(boundRequest("RISCV"), &A);
-  {
-    RequestScope Rebind(boundRequest("XCORE"));
-    EXPECT_EQ(RequestContext::current(), &B);
-    // A null rebind (unbound key) keeps the current context.
-    RequestScope Keep(boundRequest("missing"));
-    EXPECT_EQ(RequestContext::current(), &B);
-  }
-  EXPECT_EQ(RequestContext::current(), nullptr);
-}
-
 TEST_F(ObsTest, RequestContextHopsAcrossThreadPool) {
   RequestContext Ctx("generate");
-  RequestRouter Router;
-  Router.bind("T", &Ctx);
   ThreadPool Pool(4);
   std::atomic<int> Attributed{0};
   {
     RequestScope Scope(&Ctx);
-    RouterScope RScope(&Router);
     Pool.parallelFor(32, [&](size_t) {
-      if (RequestContext::current() == &Ctx && boundRequest("T") == &Ctx)
+      if (RequestContext::current() == &Ctx)
         Attributed.fetch_add(1, std::memory_order_relaxed);
       Span S("gen.lane");
     });
   }
-  // Every lane saw the caller's ambient request + router.
+  // Every lane saw the caller's ambient request.
   EXPECT_EQ(Attributed.load(), 32);
   EXPECT_EQ(Ctx.spansRecorded(), 32u);
   // Worker lanes restored their prior (empty) context after the batch.
   std::atomic<int> Clean{0};
   Pool.parallelFor(32, [&](size_t) {
-    if (RequestContext::current() == nullptr && !RequestRouter::current())
+    if (RequestContext::current() == nullptr)
       Clean.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(Clean.load(), 32);

@@ -25,7 +25,7 @@ const BackendCorpus &sharedCorpus() {
 
 FunctionAST parse(const char *Src) {
   auto Fn = parseFunction(Src);
-  EXPECT_TRUE(static_cast<bool>(Fn)) << Fn.getError();
+  EXPECT_TRUE(Fn.isOk()) << Fn.status().toString();
   return std::move(*Fn);
 }
 

@@ -53,7 +53,7 @@ TEST_P(FunctionPropertyTest, RenderParseRenderIsAFixpoint) {
   ASSERT_NE(Fn, nullptr);
   std::string Once = Fn->AST.render();
   auto Reparsed = parseFunction(Once);
-  ASSERT_TRUE(static_cast<bool>(Reparsed));
+  ASSERT_TRUE(Reparsed.isOk());
   EXPECT_EQ(Reparsed->render(), Once);
 }
 

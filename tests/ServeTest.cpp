@@ -21,8 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <future>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -405,6 +407,77 @@ TEST(Serve, EverySpanCarriesItsOriginatingRequestId) {
     EXPECT_TRUE(Attributed) << E.Name << " missing req=" << RequestId;
   }
   EXPECT_GT(GenSpans, 0u);
+  Recorder.clear();
+}
+
+TEST(Serve, CoBatchedSpansCarryTheirOpenersRequest) {
+  // Staged while paused: RISCV (A), XCORE (B), then RISCV again (C), which
+  // attaches to A's generation. Both generations share the step fan-outs,
+  // yet every generation span belongs to the request that opened its
+  // generation: RISCV work to A, XCORE work to B, and none to C.
+  VegaServer Server(session(), ServerOptions());
+  auto &Recorder = obs::TraceRecorder::instance();
+  Recorder.clear();
+  Recorder.setEnabled(true);
+  Server.scheduler().pause();
+  std::future<std::string> FA = Server.submitLine(
+      R"({"id":"A","method":"generate","params":{"target":"RISCV"}})");
+  std::future<std::string> FB = Server.submitLine(
+      R"({"id":"B","method":"generate","params":{"target":"XCORE"}})");
+  std::future<std::string> FC = Server.submitLine(
+      R"({"id":"C","method":"generate","params":{"target":"RISCV"}})");
+  Server.scheduler().resume();
+  Json RA = parsed(FA.get()), RB = parsed(FB.get()), RC = parsed(FC.get());
+  Recorder.setEnabled(false);
+  ASSERT_NE(RA.get("result"), nullptr) << RA.dump();
+  ASSERT_NE(RB.get("result"), nullptr) << RB.dump();
+  ASSERT_NE(RC.get("result"), nullptr) << RC.dump();
+  SchedulerStats S = Server.scheduler().stats();
+  EXPECT_EQ(S.Attached, 1u);
+  EXPECT_GE(S.MaxCoActive, 2u);
+
+  auto ArgOf = [](const obs::TraceEvent &E, const std::string &Key) {
+    for (const auto &[K, V] : E.Args)
+      if (K == Key)
+        return V;
+    return std::string();
+  };
+  // Request ids are process-monotonic in submission order, and each
+  // serve.request span names its request's target.
+  std::vector<obs::TraceEvent> Events = Recorder.snapshot();
+  std::map<std::string, std::vector<uint64_t>> Requests;
+  for (const obs::TraceEvent &E : Events)
+    if (E.Name == "serve.request")
+      Requests[ArgOf(E, "target")].push_back(std::stoull(ArgOf(E, "req")));
+  ASSERT_EQ(Requests["RISCV"].size(), 2u);
+  ASSERT_EQ(Requests["XCORE"].size(), 1u);
+  const std::string A = std::to_string(std::min(Requests["RISCV"][0],
+                                                Requests["RISCV"][1]));
+  const std::string C = std::to_string(std::max(Requests["RISCV"][0],
+                                                Requests["RISCV"][1]));
+  const std::string B = std::to_string(Requests["XCORE"][0]);
+
+  size_t RiscvSpans = 0, XcoreSpans = 0;
+  for (const obs::TraceEvent &E : Events) {
+    const std::string Req = ArgOf(E, "req");
+    // C's only span is its own serve.request.
+    if (Req == C) {
+      EXPECT_EQ(E.Name, "serve.request");
+    }
+    if (E.Name.rfind("gen.", 0) != 0)
+      continue;
+    EXPECT_TRUE(Req == A || Req == B) << E.Name << " carries req=" << Req;
+    const std::string Target = ArgOf(E, "target");
+    if (Target == "RISCV") {
+      ++RiscvSpans;
+      EXPECT_EQ(Req, A) << E.Name;
+    } else if (Target == "XCORE") {
+      ++XcoreSpans;
+      EXPECT_EQ(Req, B) << E.Name;
+    }
+  }
+  EXPECT_GT(RiscvSpans, 0u);
+  EXPECT_GT(XcoreSpans, 0u);
   Recorder.clear();
 }
 

@@ -7,7 +7,7 @@
 
 #include "support/ArgParse.h"
 #include "support/BinaryIO.h"
-#include "support/Error.h"
+#include "support/FileIO.h"
 #include "support/Json.h"
 #include "support/RNG.h"
 #include "support/Status.h"
@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <stdexcept>
 
 using namespace vega;
@@ -194,13 +195,27 @@ TEST(TextTable, FormatHelpers) {
   EXPECT_EQ(TextTable::formatPercent(0.715), "71.5%");
 }
 
-TEST(Expected, SuccessAndError) {
-  Expected<int> Ok(42);
-  ASSERT_TRUE(Ok);
-  EXPECT_EQ(*Ok, 42);
-  Expected<int> Err = makeError<int>("nope");
-  EXPECT_FALSE(Err);
-  EXPECT_EQ(Err.getError(), "nope");
+TEST(FileIO, ReplaceLeavesNewBytesAndNoTemporary) {
+  namespace fs = std::filesystem;
+  const fs::path Dir = fs::path(::testing::TempDir()) / "vega_fileio";
+  fs::remove_all(Dir);
+  ASSERT_TRUE(fs::create_directories(Dir));
+  const std::string Path = (Dir / "artifact.bin").string();
+  ASSERT_TRUE(writeFile(Path, "old bytes, longer than the new ones").isOk());
+  ASSERT_TRUE(writeFile(Path, "new").isOk());
+  StatusOr<std::string> Back = readFile(Path);
+  ASSERT_TRUE(Back.isOk()) << Back.status().toString();
+  EXPECT_EQ(*Back, "new");
+  std::vector<std::string> Left;
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir))
+    Left.push_back(E.path().filename().string());
+  EXPECT_EQ(Left, std::vector<std::string>{"artifact.bin"});
+  // A parent path that is a regular file: nothing can be written there.
+  EXPECT_EQ(writeFile(Path + "/child.bin", "x").code(),
+            StatusCode::Unavailable);
+  EXPECT_EQ(readFile((Dir / "missing.bin").string()).status().code(),
+            StatusCode::Unavailable);
+  fs::remove_all(Dir);
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {

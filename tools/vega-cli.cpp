@@ -53,18 +53,13 @@
 #include "repair/RepairEngine.h"
 #include "obs/Trace.h"
 #include "serve/Protocol.h"
+#include "serve/Transport.h"
 #include "support/ArgParse.h"
 #include "support/TextTable.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
-
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 using namespace vega;
 
@@ -79,17 +74,6 @@ struct CliOptions {
   eval::OracleKind Oracle = eval::OracleKind::Text;
 };
 CliOptions Cli;
-
-/// (primary, classifier) pair the current --oracle selection maps to.
-const eval::Oracle &primaryOracle() {
-  return Cli.Oracle == eval::OracleKind::Differential
-             ? static_cast<const eval::Oracle &>(eval::differentialOracle())
-             : eval::textOracle();
-}
-const eval::Oracle *classifierOracle() {
-  return Cli.Oracle == eval::OracleKind::Text ? nullptr
-                                              : &eval::differentialOracle();
-}
 
 const BackendCorpus &corpus() { return VegaSession::standardCorpus(); }
 
@@ -357,9 +341,10 @@ int cmdEvaluate(const std::string &Target, int Epochs) {
   StatusOr<GeneratedBackend> GB = (*S)->generate(Target);
   if (!GB.isOk())
     return fail(GB.status());
+  const eval::OracleRoles Roles = eval::oracleRoles(Cli.Oracle);
   BackendEval Eval = evaluateBackend(*GB, *corpus().backend(Target),
                                      *corpus().targets().find(Target),
-                                     primaryOracle(), classifierOracle());
+                                     *Roles.Primary, Roles.Classifier);
   if (Cli.JsonOut) {
     std::printf("%s\n", serve::evalToJson(Eval).dump(2).c_str());
     return 0;
@@ -412,17 +397,9 @@ int cmdRepair(const std::string &Target, int Epochs, int BeamWidth,
   Opts.BeamWidth = BeamWidth;
   Opts.MaxRounds = MaxRounds;
   Opts.Jobs = Cli.Jobs;
-  switch (Cli.Oracle) {
-  case eval::OracleKind::Text:
-    break; // defaults: text gate, no classifier
-  case eval::OracleKind::Differential:
-    Opts.OracleImpl = &eval::differentialOracle();
-    Opts.Classifier = &eval::differentialOracle();
-    break;
-  case eval::OracleKind::Both:
-    Opts.Classifier = &eval::differentialOracle();
-    break;
-  }
+  const eval::OracleRoles Roles = eval::oracleRoles(Cli.Oracle);
+  Opts.OracleImpl = Roles.Primary;
+  Opts.Classifier = Roles.Classifier;
   repair::RepairEngine Engine((*S)->system(), Opts);
   StatusOr<repair::RepairReport> Report = Engine.repairBackend(*GB);
   if (!Report.isOk())
@@ -529,56 +506,11 @@ int epochsArg(const std::vector<std::string> &Args, size_t Index,
   return std::atoi(Args[Index].c_str());
 }
 
-/// One JSON-RPC round trip against a vega-serve AF_UNIX socket: sends
-/// \p Request (one line) and returns the daemon's one-line response.
-StatusOr<std::string> socketRoundTrip(const std::string &Path,
-                                      const std::string &Request) {
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return Status::unavailable(std::string("cannot create socket: ") +
-                               std::strerror(errno));
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path)) {
-    ::close(Fd);
-    return Status::invalidArgument("socket path too long: '" + Path + "'");
-  }
-  std::strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
-    ::close(Fd);
-    return Status::unavailable("cannot connect to '" + Path +
-                               "': " + std::strerror(errno));
-  }
-  std::string Line = Request + "\n";
-  size_t Written = 0;
-  while (Written < Line.size()) {
-    ssize_t W = ::write(Fd, Line.data() + Written, Line.size() - Written);
-    if (W <= 0) {
-      ::close(Fd);
-      return Status::unavailable("write to '" + Path + "' failed");
-    }
-    Written += static_cast<size_t>(W);
-  }
-  std::string Buffer;
-  char Chunk[4096];
-  size_t Newline;
-  while ((Newline = Buffer.find('\n')) == std::string::npos) {
-    ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-    if (N <= 0)
-      break;
-    Buffer.append(Chunk, static_cast<size_t>(N));
-  }
-  ::close(Fd);
-  if (Newline == std::string::npos)
-    return Status::unavailable("no response from '" + Path + "'");
-  return Buffer.substr(0, Newline);
-}
-
 int cmdStats(const std::string &SocketPath) {
   if (SocketPath.empty())
     return fail(Status::invalidArgument(
         "stats needs --socket=<path> of a running vega-serve"));
-  StatusOr<std::string> Line = socketRoundTrip(
+  StatusOr<std::string> Line = serve::callSocketLine(
       SocketPath, "{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"stats\"}");
   if (!Line.isOk())
     return fail(Line.status());
