@@ -7,6 +7,7 @@
 
 #include "BenchCommon.h"
 
+#include "core/Checkpoint.h"
 #include "forkflow/ForkFlow.h"
 #include "model/Autograd.h"
 #include "obs/Metrics.h"
@@ -57,21 +58,44 @@ const BackendCorpus &vega::bench::corpus() {
   return Corpus;
 }
 
-VegaSystem &vega::bench::system() {
+std::string vega::bench::artifactPath(const VegaOptions &Opts) {
+  char Name[48];
+  std::snprintf(Name, sizeof(Name), "vega-bench-%016llx.vega",
+                static_cast<unsigned long long>(Opts.fingerprint()));
+  return Name;
+}
+
+std::unique_ptr<VegaSystem>
+vega::bench::trainedSystem(const VegaOptions &Opts) {
   initObservability();
+  auto Sys = std::make_unique<VegaSystem>(corpus(), Opts);
+  std::fprintf(stderr, "bench: stage 1 (code-feature mapping)...\n");
+  Sys->buildTemplates();
+  Sys->buildDataset();
+  const std::string Path = artifactPath(Opts);
+  if (SessionCheckpoint::loadWeights(*Sys, Path).isOk()) {
+    std::fprintf(stderr, "bench: stage 2 (model loaded from %s)\n",
+                 Path.c_str());
+    return Sys;
+  }
+  std::fprintf(stderr, "bench: stage 2 (model creation, saved to %s)...\n",
+               Path.c_str());
+  Status St = Sys->fineTune();
+  if (St.isOk())
+    St = SessionCheckpoint::save(*Sys, Path);
+  if (!St.isOk()) {
+    std::fprintf(stderr, "bench: %s\n", St.toString().c_str());
+    std::exit(St.toExitCode());
+  }
+  return Sys;
+}
+
+VegaSystem &vega::bench::system() {
   static VegaSystem *Sys = [] {
     VegaOptions Opts;
     Opts.Model.Epochs = defaultEpochs();
-    Opts.WeightCachePath = "vega_model_cache.bin";
     Opts.Verbose = true;
-    auto *S = new VegaSystem(corpus(), Opts);
-    std::fprintf(stderr, "bench: stage 1 (code-feature mapping)...\n");
-    S->buildTemplates();
-    S->buildDataset();
-    std::fprintf(stderr,
-                 "bench: stage 2 (model creation; cached after first run)...\n");
-    S->trainModel();
-    return S;
+    return trainedSystem(Opts).release();
   }();
   return *Sys;
 }

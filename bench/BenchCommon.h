@@ -7,10 +7,12 @@
 ///
 /// \file
 /// Shared state for the table/figure benches. Model Creation is the paper's
-/// 72-hour stage; here it is a one-time fine-tune cached on disk
-/// (vega_model_cache.bin). Each bench process generates the backends it
-/// needs from that model (a fraction of a second per target) and memoizes
-/// them in-process.
+/// 72-hour stage; here it is a one-time fine-tune per configuration, saved
+/// as a .vega artifact named by its options fingerprint
+/// (vega-bench-<fingerprint>.vega in the working directory) and loaded by
+/// every later bench process with the same configuration. Each bench
+/// process generates the backends it needs from that model (a fraction of
+/// a second per target) and memoizes them in-process.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,9 @@
 #include "eval/Harness.h"
 #include "support/Json.h"
 
+#include <memory>
+#include <string>
+
 namespace vega {
 namespace bench {
 
@@ -30,13 +35,26 @@ int defaultEpochs();
 /// Observability hook for bench runs: when VEGA_TRACE_OUT and/or
 /// VEGA_METRICS_OUT name output files, enables the obs layer and registers
 /// an atexit handler that dumps the Chrome trace / metrics JSON when the
-/// bench binary finishes. Idempotent; called by system() and generated().
+/// bench binary finishes. Idempotent; called by trainedSystem() and
+/// generated().
 void initObservability();
 
 /// The shared corpus.
 const BackendCorpus &corpus();
 
-/// The shared trained system (loads the weight cache when present).
+/// The bench artifact of a model trained under \p Opts:
+/// vega-bench-<options fingerprint>.vega in the working directory.
+std::string artifactPath(const VegaOptions &Opts);
+
+/// A system that has run Stage 1 under \p Opts and holds the model of
+/// artifactPath(Opts). When that file is absent or does not match (another
+/// corpus or vocabulary), the model is fine-tuned and the artifact saved
+/// first, so the suite trains once per configuration. Exits the process on
+/// failure.
+std::unique_ptr<VegaSystem> trainedSystem(const VegaOptions &Opts);
+
+/// The shared trained system: trainedSystem() at defaultEpochs() and
+/// default options.
 VegaSystem &system();
 
 /// The generated backend for one evaluation target, generated by system()

@@ -23,20 +23,15 @@ using namespace vega;
 
 namespace {
 
-double accuracyWith(bool UseValues, bool UseBools, const char *Cache,
+double accuracyWith(bool UseValues, bool UseBools,
                     bool ReuseMainBudget = false) {
   VegaOptions Opts;
   Opts.Model.Epochs = ReuseMainBudget ? bench::defaultEpochs()
                                       : std::max(2, bench::defaultEpochs() / 6);
   Opts.UseTargetDependentValues = UseValues;
   Opts.UseTargetIndependentBools = UseBools;
-  Opts.WeightCachePath = Cache;
   Opts.Verbose = true;
-  VegaSystem Sys(bench::corpus(), Opts);
-  Sys.buildTemplates();
-  Sys.buildDataset();
-  Sys.trainModel();
-  GeneratedBackend GB = Sys.generateBackend("RISCV");
+  GeneratedBackend GB = bench::trainedSystem(Opts)->generateBackend("RISCV");
   BackendEval Eval =
       evaluateBackend(GB, *bench::corpus().backend("RISCV"),
                       *bench::corpus().targets().find("RISCV"));
@@ -46,12 +41,11 @@ double accuracyWith(bool UseValues, bool UseBools, const char *Cache,
 } // namespace
 
 int main() {
-  // The full arm is the main bench model (same config), so its cached
-  // weights are reused; the ablated arms train small equal-budget models.
-  double Full = accuracyWith(true, true, "vega_model_cache.bin",
-                             /*ReuseMainBudget=*/true);
-  double NoValues = accuracyWith(false, true, "vega_model_ablfeat_noval.bin");
-  double NoBools = accuracyWith(true, false, "vega_model_ablfeat_nobool.bin");
+  // The full arm has the main bench model's options, so it shares that
+  // model's artifact; the ablated arms train small equal-budget models.
+  double Full = accuracyWith(true, true, /*ReuseMainBudget=*/true);
+  double NoValues = accuracyWith(false, true);
+  double NoBools = accuracyWith(true, false);
 
   TextTable Table;
   Table.setHeader({"Feature set", "RISCV fn accuracy"});

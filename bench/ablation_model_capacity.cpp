@@ -22,8 +22,8 @@ using namespace vega;
 
 namespace {
 
-double accuracyWithModel(int Layers, int DModel, int FF, const char *Cache,
-                         double &ExactMatch, bool ReuseMainBudget = false) {
+double accuracyWithModel(int Layers, int DModel, int FF, double &ExactMatch,
+                         bool ReuseMainBudget = false) {
   VegaOptions Opts;
   Opts.Model.Epochs = ReuseMainBudget ? bench::defaultEpochs()
                                       : std::max(2, bench::defaultEpochs() / 6);
@@ -31,14 +31,10 @@ double accuracyWithModel(int Layers, int DModel, int FF, const char *Cache,
   Opts.Model.DecLayers = Layers;
   Opts.Model.DModel = DModel;
   Opts.Model.FFDim = FF;
-  Opts.WeightCachePath = Cache;
   Opts.Verbose = true;
-  VegaSystem Sys(bench::corpus(), Opts);
-  Sys.buildTemplates();
-  Sys.buildDataset();
-  Sys.trainModel();
-  ExactMatch = Sys.verificationExactMatch(400);
-  GeneratedBackend GB = Sys.generateBackend("RISCV");
+  std::unique_ptr<VegaSystem> Sys = bench::trainedSystem(Opts);
+  ExactMatch = Sys->verificationExactMatch(400);
+  GeneratedBackend GB = Sys->generateBackend("RISCV");
   BackendEval Eval =
       evaluateBackend(GB, *bench::corpus().backend("RISCV"),
                       *bench::corpus().targets().find("RISCV"));
@@ -49,11 +45,9 @@ double accuracyWithModel(int Layers, int DModel, int FF, const char *Cache,
 
 int main() {
   double EmSmall = 0.0, EmFull = 0.0;
-  double Small =
-      accuracyWithModel(1, 32, 96, "vega_model_ablcap_small.bin", EmSmall);
-  // The full-capacity arm is the main bench model; reuse its cache.
-  double Full = accuracyWithModel(2, 64, 192, "vega_model_cache.bin", EmFull,
-                                  /*ReuseMainBudget=*/true);
+  double Small = accuracyWithModel(1, 32, 96, EmSmall);
+  // The full-capacity arm is the main bench model and shares its artifact.
+  double Full = accuracyWithModel(2, 64, 192, EmFull, /*ReuseMainBudget=*/true);
 
   TextTable Table;
   Table.setHeader({"CodeBE capacity", "Verify EM", "RISCV fn accuracy"});

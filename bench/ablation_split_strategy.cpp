@@ -25,19 +25,14 @@ using namespace vega;
 
 namespace {
 
-double accuracyWithSplit(VegaOptions::SplitKind Split, const char *Cache,
-                         double &ExactMatch) {
+double accuracyWithSplit(VegaOptions::SplitKind Split, double &ExactMatch) {
   VegaOptions Opts;
   Opts.Model.Epochs = std::max(2, bench::defaultEpochs() / 4);
   Opts.Split = Split;
-  Opts.WeightCachePath = Cache;
   Opts.Verbose = true;
-  VegaSystem Sys(bench::corpus(), Opts);
-  Sys.buildTemplates();
-  Sys.buildDataset();
-  Sys.trainModel();
-  ExactMatch = Sys.verificationExactMatch(400);
-  GeneratedBackend GB = Sys.generateBackend("RISCV");
+  std::unique_ptr<VegaSystem> Sys = bench::trainedSystem(Opts);
+  ExactMatch = Sys->verificationExactMatch(400);
+  GeneratedBackend GB = Sys->generateBackend("RISCV");
   BackendEval Eval =
       evaluateBackend(GB, *bench::corpus().backend("RISCV"),
                       *bench::corpus().targets().find("RISCV"));
@@ -48,12 +43,10 @@ double accuracyWithSplit(VegaOptions::SplitKind Split, const char *Cache,
 
 int main() {
   double EmGroup = 0.0, EmBackend = 0.0;
-  double AccGroup = accuracyWithSplit(VegaOptions::SplitKind::FunctionGroup,
-                                      "vega_model_ablsplit_group.bin",
-                                      EmGroup);
-  double AccBackend = accuracyWithSplit(VegaOptions::SplitKind::BackendBased,
-                                        "vega_model_ablsplit_backend.bin",
-                                        EmBackend);
+  double AccGroup =
+      accuracyWithSplit(VegaOptions::SplitKind::FunctionGroup, EmGroup);
+  double AccBackend =
+      accuracyWithSplit(VegaOptions::SplitKind::BackendBased, EmBackend);
 
   TextTable Table;
   Table.setHeader({"Split strategy", "Verify EM", "RISCV fn accuracy"});

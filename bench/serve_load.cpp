@@ -13,9 +13,9 @@
 /// included); per level the bench reports p50/p95/p99 and backends/sec.
 ///
 /// A second sweep drives the same load through a VegaRouter fronting two
-/// in-process shards (each with its own session loaded from a saved copy
-/// of the bench artifact), exercising the shard map, verbatim forwarding,
-/// and per-shard admission. Every response — single-server or routed — is
+/// in-process shards (each with its own session loaded from the bench
+/// artifact), exercising the shard map, verbatim forwarding, and per-shard
+/// admission. Every response — single-server or routed — is
 /// checked byte-identical to the first response seen for its target, so
 /// the fleet cannot change generated backends.
 ///
@@ -118,12 +118,11 @@ int main(int argc, char **argv) {
 
   bench::initObservability();
 
-  // The daemon serves a real session, trained (or cache-loaded) exactly
-  // like the other benches so results are comparable run to run.
-  VegaOptions Opts;
-  Opts.Model.Epochs = bench::defaultEpochs();
-  Opts.WeightCachePath = "vega_model_cache.bin";
-  StatusOr<std::unique_ptr<VegaSession>> Session = VegaSession::build(Opts);
+  // The daemon serves the bench model, loaded from the artifact the other
+  // benches share (bench::system() trains and saves it when absent), so
+  // results are comparable run to run.
+  const std::string Artifact = bench::artifactPath(bench::system().options());
+  StatusOr<std::unique_ptr<VegaSession>> Session = VegaSession::load(Artifact);
   if (!Session.isOk()) {
     std::fprintf(stderr, "serve_load: %s\n",
                  Session.status().toString().c_str());
@@ -257,53 +256,46 @@ int main(int argc, char **argv) {
                     StatsRequests == static_cast<double>(SingleIssued + 1);
 
   // ---- Sweep 2: a router fronting two in-process shards. Each shard
-  // loads its own copy of the bench artifact, so routed responses must be
-  // byte-identical to the single-server references. ----
-  const std::string ShardArtifact = "serve_load_shard.vega";
+  // loads its own session from the bench artifact, so routed responses
+  // must be byte-identical to the single-server references. ----
   std::vector<LevelResult> RouterResults;
   std::vector<uint64_t> Forwards;
   bool RouterReady = false;
   size_t RouterTargets = 0;
-  if (Status St = (*Session)->save(ShardArtifact); !St.isOk()) {
-    std::fprintf(stderr, "serve_load: cannot save shard artifact: %s\n",
-                 St.toString().c_str());
-  } else {
-    std::vector<std::unique_ptr<serve::ShardEndpoint>> Endpoints;
-    Status ShardStatus = Status::ok();
-    for (int I = 0; I < 2 && ShardStatus.isOk(); ++I) {
-      StatusOr<std::unique_ptr<VegaSession>> ShardSession =
-          VegaSession::load(ShardArtifact);
-      if (!ShardSession.isOk()) {
-        ShardStatus = ShardSession.status();
-        break;
-      }
-      Endpoints.push_back(std::make_unique<serve::LocalShard>(
-          "local" + std::to_string(I), std::move(ShardSession.value()),
-          ServerOpts));
+  std::vector<std::unique_ptr<serve::ShardEndpoint>> Endpoints;
+  Status ShardStatus = Status::ok();
+  for (int I = 0; I < 2 && ShardStatus.isOk(); ++I) {
+    StatusOr<std::unique_ptr<VegaSession>> ShardSession =
+        VegaSession::load(Artifact);
+    if (!ShardSession.isOk()) {
+      ShardStatus = ShardSession.status();
+      break;
     }
-    if (!ShardStatus.isOk()) {
-      std::fprintf(stderr, "serve_load: cannot load shard session: %s\n",
-                   ShardStatus.toString().c_str());
+    Endpoints.push_back(std::make_unique<serve::LocalShard>(
+        "local" + std::to_string(I), std::move(ShardSession.value()),
+        ServerOpts));
+  }
+  if (!ShardStatus.isOk()) {
+    std::fprintf(stderr, "serve_load: cannot load shard session: %s\n",
+                 ShardStatus.toString().c_str());
+  } else {
+    serve::RouterOptions RouterOpts;
+    RouterOpts.ShardWindow = 0; // the bench saturates; let shards queue
+    serve::VegaRouter Fleet(std::move(Endpoints), RouterOpts);
+    if (Status St = Fleet.init(); !St.isOk()) {
+      std::fprintf(stderr, "serve_load: router init: %s\n",
+                   St.toString().c_str());
     } else {
-      serve::RouterOptions RouterOpts;
-      RouterOpts.ShardWindow = 0; // the bench saturates; let shards queue
-      serve::VegaRouter Fleet(std::move(Endpoints), RouterOpts);
-      if (Status St2 = Fleet.init(); !St2.isOk()) {
-        std::fprintf(stderr, "serve_load: router init: %s\n",
-                     St2.toString().c_str());
-      } else {
-        RouterReady = true;
-        RouterTargets = Fleet.shardMap().size();
-        for (int Clients : Levels)
-          RouterResults.push_back(SweepLevel(
-              [&](const std::string &Line) { return Fleet.handleLine(Line); },
-              Clients));
-        for (size_t I = 0; I < Fleet.shardCount(); ++I)
-          Forwards.push_back(Fleet.forwardCount(I));
-      }
+      RouterReady = true;
+      RouterTargets = Fleet.shardMap().size();
+      for (int Clients : Levels)
+        RouterResults.push_back(SweepLevel(
+            [&](const std::string &Line) { return Fleet.handleLine(Line); },
+            Clients));
+      for (size_t I = 0; I < Fleet.shardCount(); ++I)
+        Forwards.push_back(Fleet.forwardCount(I));
     }
   }
-  std::remove(ShardArtifact.c_str());
   bool AllShardsServed =
       RouterReady && Forwards.size() == 2 && Forwards[0] > 0 && Forwards[1] > 0;
 

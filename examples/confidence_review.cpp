@@ -31,11 +31,13 @@ int main(int argc, char **argv) {
   BackendCorpus Corpus = BackendCorpus::build(TargetDatabase::standard());
   VegaOptions Opts;
   Opts.Model.Epochs = Epochs;
-  Opts.WeightCachePath = "vega_example_model.bin";
   VegaSystem Sys(Corpus, Opts);
   Sys.buildTemplates();
   Sys.buildDataset();
-  Sys.trainModel();
+  if (Status St = Sys.fineTune(); !St.isOk()) {
+    std::fprintf(stderr, "error: %s\n", St.toString().c_str());
+    return 1;
+  }
 
   GeneratedBackend GB = Sys.generateBackend(Target);
   BackendEval Eval = evaluateBackend(GB, *Corpus.backend(Target),

@@ -9,10 +9,10 @@
 ///
 ///   ./build/examples/generate_backend [RISCV|RI5CY|XCORE] [epochs]
 ///
-/// Trains CodeBE (cached in vega_example_model.bin after the first run),
-/// generates the backend from the target's description files, and prints
-/// every emitted function with its confidence score. Pass a small epoch
-/// count (e.g. 2) for a fast demo; the bench suite uses the full budget.
+/// Trains CodeBE in-process, generates the backend from the target's
+/// description files, and prints every emitted function with its
+/// confidence score. Pass a small epoch count (e.g. 2) for a fast demo;
+/// the bench suite uses the full budget.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +36,6 @@ int main(int argc, char **argv) {
 
   VegaOptions Opts;
   Opts.Model.Epochs = Epochs;
-  Opts.WeightCachePath = "vega_example_model.bin";
   Opts.Verbose = true;
   VegaSystem Sys(Corpus, Opts);
 
@@ -49,9 +48,11 @@ int main(int argc, char **argv) {
               Sys.trainPairCount());
 
   Timer Stage2;
-  Sys.trainModel();
-  std::printf("stage 2 (model creation): %.1fs (cached after first run)\n",
-              Stage2.seconds());
+  if (Status St = Sys.fineTune(); !St.isOk()) {
+    std::fprintf(stderr, "error: %s\n", St.toString().c_str());
+    return 1;
+  }
+  std::printf("stage 2 (model creation): %.1fs\n", Stage2.seconds());
 
   Timer Stage3;
   GeneratedBackend GB = Sys.generateBackend(Target);

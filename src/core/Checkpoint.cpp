@@ -223,6 +223,50 @@ const std::string *findSection(
   return nullptr;
 }
 
+/// The front half of restore() and loadWeights(): framing, all five
+/// sections present, and a parsed META.
+Status parseArtifact(const std::string &Blob,
+                     std::vector<std::pair<std::string, std::string>> &Sections,
+                     MetaSection &Meta) {
+  uint32_t Version = 0;
+  if (Status St = parseSections(Blob, Version, Sections); !St.isOk())
+    return St;
+  for (const char *Tag : {"META", "TMPL", "FSEL", "VOCB", "WGTS"})
+    if (!findSection(Sections, Tag))
+      return Status::dataLoss(std::string("artifact is missing section '") +
+                              Tag + "'");
+  return parseMeta(*findSection(Sections, "META"), Meta);
+}
+
+/// The VOCB payload: the vocabulary, then the structural-token mask.
+std::string vocabSection(const Vocab &Vocabulary,
+                         const std::vector<uint8_t> &StructuralTokens) {
+  BinaryWriter Vocb;
+  Vocb.str(Vocabulary.serialize());
+  Vocb.str(std::string_view(
+      reinterpret_cast<const char *>(StructuralTokens.data()),
+      StructuralTokens.size()));
+  return Vocb.takeBlob();
+}
+
+/// A CodeBE over \p Vocabulary holding the weights of a WGTS payload.
+StatusOr<std::unique_ptr<CodeBE>> readModel(const std::string &Payload,
+                                            const Vocab &Vocabulary,
+                                            const CodeBEConfig &Config) {
+  BinaryReader R(Payload);
+  std::string Weights;
+  if (!R.str(Weights) || !R.atEnd())
+    return Status::dataLoss("WGTS section is malformed");
+  auto Model = std::make_unique<CodeBE>(Vocabulary, Config);
+  if (!Model->loadWeights(Weights))
+    return Status::dataLoss(
+        "WGTS weights do not fit the recorded model architecture");
+  return Model;
+}
+
+constexpr const char *CorpusMismatch =
+    "artifact was built over a different corpus (fingerprint mismatch)";
+
 } // namespace
 
 uint64_t SessionCheckpoint::corpusFingerprint(const BackendCorpus &Corpus) {
@@ -247,7 +291,7 @@ StatusOr<std::string> SessionCheckpoint::serialize(const VegaSystem &System) {
         "session has no templates (run buildTemplates() first)");
   if (!System.Model)
     return Status::failedPrecondition(
-        "session has no trained model (run trainModel() first)");
+        "session has no trained model (run fineTune() first)");
 
   // META.
   BinaryWriter Meta;
@@ -331,10 +375,7 @@ StatusOr<std::string> SessionCheckpoint::serialize(const VegaSystem &System) {
 
   // VOCB.
   BinaryWriter Vocb;
-  Vocb.str(System.Vocabulary.serialize());
-  Vocb.str(std::string_view(
-      reinterpret_cast<const char *>(System.StructuralTokens.data()),
-      System.StructuralTokens.size()));
+  Vocb.bytes(vocabSection(System.Vocabulary, System.StructuralTokens));
 
   // WGTS.
   BinaryWriter Wgts;
@@ -367,21 +408,12 @@ Status SessionCheckpoint::save(const VegaSystem &System,
 StatusOr<std::unique_ptr<VegaSystem>>
 SessionCheckpoint::restore(const BackendCorpus &Corpus,
                            const std::string &Blob) {
-  uint32_t Version = 0;
   std::vector<std::pair<std::string, std::string>> Sections;
-  if (Status St = parseSections(Blob, Version, Sections); !St.isOk())
-    return St;
-  for (const char *Tag : {"META", "TMPL", "FSEL", "VOCB", "WGTS"})
-    if (!findSection(Sections, Tag))
-      return Status::dataLoss(std::string("artifact is missing section '") +
-                              Tag + "'");
-
   MetaSection Meta;
-  if (Status St = parseMeta(*findSection(Sections, "META"), Meta); !St.isOk())
+  if (Status St = parseArtifact(Blob, Sections, Meta); !St.isOk())
     return St;
   if (Meta.CorpusFingerprint != corpusFingerprint(Corpus))
-    return Status::failedPrecondition(
-        "artifact was built over a different corpus (fingerprint mismatch)");
+    return Status::failedPrecondition(CorpusMismatch);
 
   auto System = std::make_unique<VegaSystem>(Corpus, Meta.Options);
 
@@ -549,19 +581,11 @@ SessionCheckpoint::restore(const BackendCorpus &Corpus,
         System->SpecialTokenIds.push_back(static_cast<int>(Id));
   }
 
-  // WGTS.
-  {
-    BinaryReader R(*findSection(Sections, "WGTS"));
-    std::string Weights;
-    if (!R.str(Weights) || !R.atEnd())
-      return Status::dataLoss("WGTS section is malformed");
-    System->Model =
-        std::make_unique<CodeBE>(System->Vocabulary, Meta.Options.Model);
-    if (!System->Model->loadWeights(Weights))
-      return Status::dataLoss(
-          "WGTS weights do not fit the recorded model architecture");
-  }
-
+  StatusOr<std::unique_ptr<CodeBE>> Model = readModel(
+      *findSection(Sections, "WGTS"), System->Vocabulary, Meta.Options.Model);
+  if (!Model.isOk())
+    return Model.status();
+  System->Model = std::move(*Model);
   return System;
 }
 
@@ -571,6 +595,34 @@ SessionCheckpoint::load(const BackendCorpus &Corpus, const std::string &Path) {
   if (!Blob.isOk())
     return Blob.status();
   return restore(Corpus, *Blob);
+}
+
+Status SessionCheckpoint::loadWeights(VegaSystem &System,
+                                      const std::string &Path) {
+  StatusOr<std::string> Blob = readFile(Path);
+  if (!Blob.isOk())
+    return Blob.status();
+  std::vector<std::pair<std::string, std::string>> Sections;
+  MetaSection Meta;
+  if (Status St = parseArtifact(*Blob, Sections, Meta); !St.isOk())
+    return St;
+  if (Meta.OptionsFingerprint != System.Options.fingerprint())
+    return Status::failedPrecondition(
+        "'" + Path + "' was trained under other options (options "
+        "fingerprint " + std::to_string(Meta.OptionsFingerprint) +
+        ", expected " + std::to_string(System.Options.fingerprint()) + ")");
+  if (Meta.CorpusFingerprint != corpusFingerprint(System.Corpus))
+    return Status::failedPrecondition(CorpusMismatch);
+  if (*findSection(Sections, "VOCB") !=
+      vocabSection(System.Vocabulary, System.StructuralTokens))
+    return Status::failedPrecondition(
+        "'" + Path + "' was built over a different vocabulary");
+  StatusOr<std::unique_ptr<CodeBE>> Model = readModel(
+      *findSection(Sections, "WGTS"), System.Vocabulary, System.Options.Model);
+  if (!Model.isOk())
+    return Model.status();
+  System.Model = std::move(*Model);
+  return Status::ok();
 }
 
 StatusOr<SessionCheckpoint::Info>

@@ -25,8 +25,9 @@
 /// harvest memo), VOCB (vocabulary + structural-token mask), WGTS (CodeBE
 /// weights). Loads are strict: bad magic, an unsupported version, a failed
 /// checksum, a missing section, or a fingerprint that does not match the
-/// corpus the loader supplies all reject the artifact with a precise
-/// Status — there is no partial or best-effort load.
+/// corpus the loader supplies (for loadWeights(), also the options and
+/// vocabulary of the receiving system) all reject the artifact with a
+/// precise Status — there is no partial or best-effort load.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +57,7 @@ public:
     uint64_t OptionsFingerprint = 0;
     uint64_t CorpusFingerprint = 0;
     /// The artifact-shaping options recorded at save time (runtime knobs
-    /// Jobs/Verbose/WeightCachePath come back at their defaults).
+    /// Jobs/TrainJobs/Verbose come back at their defaults).
     VegaOptions Options;
     uint64_t TemplateCount = 0;
     uint64_t VocabSize = 0;
@@ -67,7 +68,7 @@ public:
   };
 
   /// Serializes \p System (which must have completed buildTemplates(),
-  /// buildDataset(), and trainModel()/fineTune()) into an artifact blob.
+  /// buildDataset(), and fineTune()) into an artifact blob.
   static StatusOr<std::string> serialize(const VegaSystem &System);
 
   /// serialize() + an atomic replace of \p Path (support/FileIO writeFile).
@@ -75,16 +76,26 @@ public:
 
   /// Parses \p Blob and reconstructs a generation-ready VegaSystem over
   /// \p Corpus. The corpus must fingerprint-match the one the artifact was
-  /// built from. The returned system supports generateBackend(s)() and
+  /// built from. The returned system supports generateBackend() and
   /// template/feature introspection; it holds no training pairs, so
-  /// buildDataset()-dependent paths (fineTune(), verificationExactMatch())
-  /// must not be used on it.
+  /// buildDataset()-dependent paths (fineTune(), fineTuneRound(),
+  /// verificationExactMatch()) must not be used on it.
   static StatusOr<std::unique_ptr<VegaSystem>>
   restore(const BackendCorpus &Corpus, const std::string &Blob);
 
   /// Reads + restore()s an artifact file.
   static StatusOr<std::unique_ptr<VegaSystem>>
   load(const BackendCorpus &Corpus, const std::string &Path);
+
+  /// Gives \p System, which has run buildTemplates() and buildDataset(), the
+  /// model stored at \p Path: the loader for callers that need the dataset
+  /// restore() does not rebuild (the flywheel resume, the bench suite). The
+  /// artifact's META options and corpus fingerprints and its VOCB bytes must
+  /// equal what serialize() would write for \p System, else
+  /// FailedPrecondition — a model trained under another schedule, corpus or
+  /// vocabulary is never served. DataLoss for bad framing. The model is
+  /// replaced only on success.
+  static Status loadWeights(VegaSystem &System, const std::string &Path);
 
   /// Validates framing (magic, version, checksums) and summarizes the
   /// artifact without constructing a system.

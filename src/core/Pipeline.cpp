@@ -12,14 +12,12 @@
 #include "obs/Metrics.h"
 #include "obs/Request.h"
 #include "obs/Trace.h"
-#include "support/FileIO.h"
 #include "support/RNG.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <set>
@@ -135,18 +133,6 @@ VegaSystem::VegaSystem(const BackendCorpus &Corpus, VegaOptions Options)
 }
 
 VegaSystem::~VegaSystem() = default;
-
-std::string VegaOptions::resolvedWeightCachePath() const {
-  if (WeightCachePath.empty() || WeightCachePath.front() == '/')
-    return WeightCachePath;
-  const char *Dir = std::getenv("VEGA_CACHE_DIR");
-  if (!Dir || !*Dir)
-    return WeightCachePath;
-  std::string Resolved(Dir);
-  if (Resolved.back() != '/')
-    Resolved += '/';
-  return Resolved + WeightCachePath;
-}
 
 const TemplateInfo *
 VegaSystem::findTemplate(const std::string &InterfaceName) const {
@@ -640,33 +626,8 @@ TrainPair VegaSystem::toIds(const TextPair &Pair) const {
   return Ids;
 }
 
-VegaSystem::WeightCacheStatus
-VegaSystem::initModelFromCache(std::string *Detail) {
+void VegaSystem::initModelFromCache() {
   Model = std::make_unique<CodeBE>(Vocabulary, Options.Model);
-  std::string CachePath = Options.resolvedWeightCachePath();
-  if (CachePath.empty())
-    return WeightCacheStatus::Disabled;
-  StatusOr<std::string> Read = readFile(CachePath);
-  if (!Read.isOk())
-    return WeightCacheStatus::Missing;
-  const std::string &Blob = *Read;
-  auto Mismatch = [&](const char *Why) {
-    if (Detail)
-      *Detail = std::string(Why) + " ('" + CachePath + "')";
-    return WeightCacheStatus::Mismatch;
-  };
-  // Layout: u64 vocab length | vocab | weights.
-  if (Blob.size() <= sizeof(uint64_t))
-    return Mismatch("weight cache is truncated");
-  uint64_t VLen = 0;
-  std::memcpy(&VLen, Blob.data(), sizeof(VLen));
-  if (sizeof(VLen) + VLen > Blob.size())
-    return Mismatch("weight cache is truncated");
-  if (Blob.substr(sizeof(VLen), VLen) != Vocabulary.serialize())
-    return Mismatch("weight cache was built over a different vocabulary");
-  if (!Model->loadWeights(Blob.substr(sizeof(VLen) + VLen)))
-    return Mismatch("weight cache does not match the model architecture");
-  return WeightCacheStatus::Loaded;
 }
 
 model::TrainOptions VegaSystem::trainOptions() const {
@@ -675,8 +636,10 @@ model::TrainOptions VegaSystem::trainOptions() const {
   return T;
 }
 
-Status VegaSystem::fineTuneImpl() {
-  assert(Model && "initModelFromCache() must run first");
+Status VegaSystem::fineTune() {
+  obs::Span StageSpan("stage2.train_model", "stage2");
+  if (!Model)
+    initModelFromCache();
   std::vector<TrainPair> Data;
   Data.reserve(TrainTexts.size());
   for (const TextPair &P : TrainTexts)
@@ -689,27 +652,7 @@ Status VegaSystem::fineTuneImpl() {
   };
   model::Trainer Engine(*Model, std::move(TOpts));
   StatusOr<model::TrainResult> Result = Engine.run(Data);
-  if (!Result.isOk())
-    return Result.status();
-
-  // Replaced atomically: a process starting mid-write reads the old cache
-  // or the new one, never a torn file.
-  if (std::string CachePath = Options.resolvedWeightCachePath();
-      !CachePath.empty()) {
-    std::string VocabBlob = Vocabulary.serialize();
-    uint64_t VLen = VocabBlob.size();
-    std::string Blob(reinterpret_cast<const char *>(&VLen), sizeof(VLen));
-    Blob += VocabBlob;
-    Blob += Model->saveWeights();
-    return writeFile(CachePath, Blob);
-  }
-  return Status::ok();
-}
-
-Status VegaSystem::fineTune() {
-  obs::Span StageSpan("stage2.train_model", "stage2");
-  StageSpan.arg("weights", "trained");
-  return fineTuneImpl();
+  return Result.isOk() ? Status::ok() : Result.status();
 }
 
 namespace {
@@ -776,7 +719,8 @@ VegaSystem::augmentTrainingPairs(const std::vector<AugmentedPair> &Pairs) {
 
 StatusOr<model::TrainResult> VegaSystem::fineTuneRound(int Epochs,
                                                        uint64_t Seed) {
-  assert(Model && "trainModel() must run first");
+  assert(Model && "fineTune() or SessionCheckpoint::loadWeights() must run "
+                  "first");
   obs::Span StageSpan("stage2.finetune_round", "stage2");
   StageSpan.arg("epochs", std::to_string(Epochs));
   std::vector<TrainPair> Data;
@@ -797,25 +741,9 @@ StatusOr<model::TrainResult> VegaSystem::fineTuneRound(int Epochs,
   return Engine.run(Data);
 }
 
-Status VegaSystem::trainModel() {
-  obs::Span StageSpan("stage2.train_model", "stage2");
-  std::string Detail;
-  WeightCacheStatus CacheStatus = initModelFromCache(&Detail);
-  if (CacheStatus == WeightCacheStatus::Loaded) {
-    if (Options.Verbose)
-      std::fprintf(stderr, "vega: loaded cached CodeBE weights\n");
-    StageSpan.arg("weights", "cached");
-    return Status::ok();
-  }
-  if (CacheStatus == WeightCacheStatus::Mismatch && Options.Verbose)
-    std::fprintf(stderr, "vega: ignoring stale weight cache (%s)\n",
-                 Detail.c_str());
-  StageSpan.arg("weights", "trained");
-  return fineTuneImpl();
-}
-
 double VegaSystem::verificationExactMatch(size_t MaxPairs) {
-  assert(Model && "trainModel() must run first");
+  assert(Model && "fineTune() or SessionCheckpoint::loadWeights() must run "
+                  "first");
   std::vector<TrainPair> Data;
   size_t N = VerifyTexts.size();
   if (MaxPairs != 0)
@@ -1138,7 +1066,7 @@ GeneratedBackend VegaSystem::generateBackend(const std::string &TargetName) {
 
 VegaSystem::GenerationHandle
 VegaSystem::beginGenerate(const std::string &TargetName) {
-  assert(Model && "trainModel() must run first");
+  assert(Model && "fineTune() or a checkpoint load must run first");
   GenerationHandle H;
   H.Target = TargetName;
   H.Request = obs::RequestContext::current();

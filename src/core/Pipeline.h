@@ -53,8 +53,6 @@ struct VegaOptions {
   CodeBEConfig Model;
   /// Statements below this confidence are dropped (§3.3, fixed 0.5).
   double ConfidenceThreshold = 0.5;
-  /// Optional path for caching the fine-tuned weights across processes.
-  std::string WeightCachePath;
   bool Verbose = false;
   /// §4.1.2: function-group-based (default) vs backend-based split.
   enum class SplitKind { FunctionGroup, BackendBased };
@@ -76,19 +74,12 @@ struct VegaOptions {
   /// knob excluded from fingerprint().
   int TrainJobs = 0;
 
-  /// The weight-cache path the system will actually touch: absolute paths
-  /// are used verbatim; relative paths resolve under $VEGA_CACHE_DIR when
-  /// that is set and non-empty, else under the current directory (the
-  /// historical behavior). Empty stays empty (caching disabled). README
-  /// "Weight caches" documents the precedence.
-  std::string resolvedWeightCachePath() const;
-
   /// Stable hash of every option that shapes the trained session state
   /// (model architecture + training schedule + dataset split + feature
   /// ablations + candidate caps). Runtime knobs that cannot invalidate a
-  /// trained artifact — Jobs, TrainJobs, Verbose, WeightCachePath,
-  /// ConfidenceThreshold — are deliberately excluded. Session checkpoints
-  /// store this and refuse to load under mismatched options.
+  /// trained artifact — Jobs, TrainJobs, Verbose, ConfidenceThreshold — are
+  /// deliberately excluded. Session checkpoints store this and refuse to
+  /// load under mismatched options.
   uint64_t fingerprint() const;
 };
 
@@ -170,33 +161,19 @@ public:
   /// vocabulary. Requires buildTemplates().
   void buildDataset();
 
-  /// Outcome of a weight-cache probe (see initModelFromCache()).
-  enum class WeightCacheStatus {
-    Disabled, ///< no WeightCachePath configured
-    Missing,  ///< cache file absent or unreadable
-    Loaded,   ///< cached vocabulary + weights restored
-    Mismatch, ///< cache exists but does not match the current state
-  };
+  /// Constructs a fresh, untrained CodeBE. fineTune() does this itself
+  /// when no model exists; the function stays only because the benchmark's
+  /// train workload calls it, and its rename waits for the next change to
+  /// the benchmark.
+  void initModelFromCache();
 
-  /// Constructs a fresh CodeBE and attempts to restore cached weights from
-  /// Options.WeightCachePath. On Mismatch, \p Detail (when non-null)
-  /// receives a one-line reason. The model is left ready for fineTune()
-  /// whenever the result is not Loaded.
-  WeightCacheStatus initModelFromCache(std::string *Detail = nullptr);
-
-  /// Stage 2 proper: fine-tunes the (already constructed) model on the
-  /// built dataset via model::Trainer and writes the weight cache.
-  /// Requires initModelFromCache() to have run. InvalidArgument when the
-  /// derived TrainOptions fail validation; Unavailable when the weight
-  /// cache cannot be written.
+  /// Stage 2: fine-tunes CodeBE on the built dataset via model::Trainer,
+  /// starting from a fresh model when none is constructed yet. Requires
+  /// buildDataset(). InvalidArgument when the derived TrainOptions fail
+  /// validation. A trained model is stored only as a .vega artifact
+  /// (SessionCheckpoint::save); SessionCheckpoint::loadWeights() restores
+  /// it into a system that has run Stage 1.
   Status fineTune();
-
-  /// Stage 2: fine-tunes CodeBE (or loads cached weights). Convenience
-  /// wrapper over initModelFromCache() + fineTune() that keeps the
-  /// historical lenient behavior: a mismatched cache is ignored (with a
-  /// note when Verbose) and the model retrains. VegaSession::build is the
-  /// strict consumer — it surfaces Mismatch as a Status instead.
-  Status trainModel();
 
   /// The training schedule the next fineTune() will run: Options.Model's
   /// epochs/batch/LR/seed with Jobs resolved as TrainJobs, falling back to
@@ -224,10 +201,8 @@ public:
   /// One incremental fine-tuning round over the current (possibly
   /// augmented) training corpus: the trainOptions() schedule with Epochs
   /// and Seed overridden and the per-example augmentation weights attached.
-  /// Unlike fineTune() this never writes the weight cache — a flywheel
-  /// generation's weights belong to its own .vega checkpoint, not the
-  /// shared cache of the pristine Stage-2 model. Requires a constructed
-  /// model (initModelFromCache()/trainModel()).
+  /// Requires a trained model (fineTune() or
+  /// SessionCheckpoint::loadWeights()).
   StatusOr<model::TrainResult> fineTuneRound(int Epochs, uint64_t Seed);
 
   /// Exact Match on the held-out verification pairs (§4.1.2).
@@ -385,9 +360,6 @@ private:
   void collectPairsForTarget(const TemplateInfo &TI, const std::string &Target,
                              bool Implements, ChildContextMap &ChildCtx,
                              std::vector<TextPair> &Out);
-  /// fineTune()/trainModel() body, span-free so both emit exactly one
-  /// "stage2.train_model" span.
-  Status fineTuneImpl();
   void buildVocab();
   TrainPair toIds(const TextPair &Pair) const;
   /// Shared constrained-decode setup for one row — source ids, allowed

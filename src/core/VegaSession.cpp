@@ -8,9 +8,6 @@
 #include "core/VegaSession.h"
 
 #include "core/Checkpoint.h"
-#include "obs/Trace.h"
-
-#include <cstdio>
 
 using namespace vega;
 
@@ -24,27 +21,8 @@ VegaSession::build(const BackendCorpus &Corpus, VegaOptions Opts) {
   auto System = std::make_unique<VegaSystem>(Corpus, Opts);
   System->buildTemplates();
   System->buildDataset();
-
-  std::string Detail;
-  switch (System->initModelFromCache(&Detail)) {
-  case VegaSystem::WeightCacheStatus::Loaded: {
-    obs::Span StageSpan("stage2.train_model", "stage2");
-    StageSpan.arg("weights", "cached");
-    if (Opts.Verbose)
-      std::fprintf(stderr, "vega: loaded cached CodeBE weights\n");
-    break;
-  }
-  case VegaSystem::WeightCacheStatus::Mismatch:
-    // The historical vega-cli path silently retrained here; the session API
-    // refuses instead — a stale cache means the caller's state and the disk
-    // disagree, and retraining would quietly shadow the cache they asked for.
-    return Status::failedPrecondition(Detail);
-  case VegaSystem::WeightCacheStatus::Disabled:
-  case VegaSystem::WeightCacheStatus::Missing:
-    if (Status St = System->fineTune(); !St.isOk())
-      return St;
-    break;
-  }
+  if (Status St = System->fineTune(); !St.isOk())
+    return St;
   return std::unique_ptr<VegaSession>(
       new VegaSession(Corpus, std::move(System), /*FromCheckpoint=*/false));
 }

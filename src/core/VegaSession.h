@@ -9,8 +9,7 @@
 /// The public face of the library: a VegaSession owns a trained VegaSystem
 /// and exposes the whole lifecycle behind Status-returning entry points —
 ///
-///   build(corpus, opts)  Stage 1 + Stage 2 (strict: a mismatched weight
-///                        cache is an error, not a silent retrain)
+///   build(corpus, opts)  Stage 1 + Stage 2, in-process
 ///   save(path)           write the .vega artifact (core/Checkpoint.h)
 ///   load(path)           restore a generation-ready session without
 ///                        re-touching Stage 1/2
@@ -43,10 +42,9 @@ public:
   /// TargetDatabase::standard()), built on first use.
   static const BackendCorpus &standardCorpus();
 
-  /// Runs Stage 1 + Stage 2 over \p Corpus. Unlike VegaSystem::trainModel(),
-  /// a weight cache that exists but does not match the current vocabulary or
-  /// architecture is a FailedPrecondition error — a session built from a
-  /// cache must be exactly the session that wrote it.
+  /// Runs Stage 1 + Stage 2 over \p Corpus: templates, dataset, then
+  /// fineTune() from a fresh model. Reads and writes no file; save() the
+  /// session to reuse its model.
   static StatusOr<std::unique_ptr<VegaSession>> build(const BackendCorpus &Corpus,
                                                       VegaOptions Opts);
   /// build() over the standard corpus.

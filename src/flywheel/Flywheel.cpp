@@ -533,8 +533,11 @@ StatusOr<FlywheelReport> FlywheelEngine::run() {
   Report.Options = Options;
 
   // ---- Resume: count the complete-generation prefix in OutDir. ----------
+  // The system is touched only once the whole prefix checks out: its
+  // harvests are replayed after the last checkpoint's model loads.
   int Resumed = 0;
   if (Persist) {
+    std::vector<std::vector<AugmentedPair>> Replay;
     for (int K = 0; K <= Options.Generations; ++K) {
       StatusOr<std::string> Text = readFile(genPath(Options.OutDir, K,
                                                     ".report.json"));
@@ -576,23 +579,22 @@ StatusOr<FlywheelReport> FlywheelEngine::run() {
         StatusOr<std::vector<AugmentedPair>> Pairs = harvestFromJson(*HDoc);
         if (!Pairs.isOk())
           return Pairs.status();
-        System.augmentTrainingPairs(*Pairs);
+        Replay.push_back(std::move(*Pairs));
       }
       Report.Generations.push_back(std::move(*Stats));
       Report.TotalPairsAdded += Report.Generations.back().PairsAdded;
       Resumed = K + 1;
     }
     if (Resumed > 0) {
-      // Restore the last complete generation's weights into the live model.
-      std::string CkptPath =
-          genPath(Options.OutDir, Resumed - 1, ".vega");
-      StatusOr<std::unique_ptr<VegaSystem>> Restored =
-          SessionCheckpoint::load(System.corpus(), CkptPath);
-      if (!Restored.isOk())
-        return Restored.status();
-      if (!System.model()->loadWeights((*Restored)->model()->saveWeights()))
-        return Status::failedPrecondition("weight shape mismatch restoring '" +
-                                          CkptPath + "'");
+      // Restore the last complete generation's model. The checkpoint must
+      // come from this system's base options, corpus and vocabulary:
+      // optionsKey covers only the flywheel's own options.
+      if (Status St = SessionCheckpoint::loadWeights(
+              System, genPath(Options.OutDir, Resumed - 1, ".vega"));
+          !St.isOk())
+        return St;
+      for (const std::vector<AugmentedPair> &Pairs : Replay)
+        System.augmentTrainingPairs(Pairs);
       if (Options.Verbose)
         std::fprintf(stderr,
                      "vega: flywheel resumed %d generation(s) from %s\n",

@@ -29,7 +29,10 @@
 /// gen-<k>.report.json (the generation's stats). Re-running over a partial
 /// directory with the same options replays the harvests, restores the last
 /// checkpoint's weights, and recomputes only the missing generations —
-/// byte-identical to the uninterrupted run (DESIGN.md §17).
+/// byte-identical to the uninterrupted run (DESIGN.md §17). The checkpoint
+/// must match the system's own base options, corpus and vocabulary
+/// (SessionCheckpoint::loadWeights), so a directory grown from another
+/// base model is refused rather than continued.
 ///
 /// Determinism contract: the FlywheelReport (and every persisted artifact)
 /// is byte-identical at any --jobs / --train-jobs, and across an
@@ -156,15 +159,15 @@ StatusOr<FlywheelReport> reportFromJson(const Json &Doc);
 /// trained VegaSystem (templates built, dataset built, model trained) whose
 /// corpus and weights it mutates in place: augmentTrainingPairs() grows the
 /// training set and accepted generations keep their fine-tuned weights.
-/// It never writes the system's weight cache — per-generation weights live
-/// in the OutDir checkpoints.
+/// Per-generation weights live in the OutDir checkpoints.
 class FlywheelEngine {
 public:
   FlywheelEngine(VegaSystem &System, FlywheelOptions Options);
 
   /// Runs (or resumes) the whole schedule. InvalidArgument when the options
   /// fail validation or a target is unknown; FailedPrecondition when OutDir
-  /// artifacts were written under different options.
+  /// artifacts were written under different flywheel options or from a
+  /// different base model.
   StatusOr<FlywheelReport> run();
 
   const FlywheelOptions &options() const { return Options; }

@@ -9,12 +9,15 @@
 /// option validation, the acceptance-gated trajectory invariants (pass@1
 /// monotone non-decreasing, repair reliance non-increasing), the
 /// "vega-flywheel-1" JSON round trip, byte-identical reports across job
-/// counts, and byte-identical artifacts across an interrupt + resume.
+/// counts, and byte-identical artifacts across an interrupt + resume (which
+/// refuses a directory written under other flywheel options or from
+/// another base model).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "flywheel/Flywheel.h"
 
+#include "core/Checkpoint.h"
 #include "core/VegaSession.h"
 
 #include <gtest/gtest.h>
@@ -43,15 +46,22 @@ VegaSession &session() {
   return *S;
 }
 
-/// The shared session's trained weights, captured once.
-const std::string &baseWeights() {
-  static std::string Blob = session().system().model()->saveWeights();
-  return Blob;
+/// The shared session saved once, as the base model of every fresh system.
+const std::string &baseArtifact() {
+  static const std::string Path = [] {
+    std::string P = "flywheel_test_base.vega";
+    if (Status St = session().save(P); !St.isOk()) {
+      std::fprintf(stderr, "base save failed: %s\n", St.toString().c_str());
+      std::abort();
+    }
+    return P;
+  }();
+  return Path;
 }
 
-/// A fresh trainable system over the standard corpus, seeded with the
-/// shared session's weights — the flywheel mutates its corpus and weights,
-/// so every test works on its own copy.
+/// A fresh trainable system over the standard corpus holding the shared
+/// session's model — the flywheel mutates its corpus and weights, so every
+/// test works on its own copy.
 std::unique_ptr<VegaSystem> freshSystem(int Jobs, int TrainJobs) {
   VegaOptions Opts;
   Opts.Model.Epochs = 1;
@@ -62,9 +72,10 @@ std::unique_ptr<VegaSystem> freshSystem(int Jobs, int TrainJobs) {
                                              Opts);
   System->buildTemplates();
   System->buildDataset();
-  System->initModelFromCache();
-  if (!System->model()->loadWeights(baseWeights())) {
-    std::fprintf(stderr, "base weight restore failed\n");
+  if (Status St = SessionCheckpoint::loadWeights(*System, baseArtifact());
+      !St.isOk()) {
+    std::fprintf(stderr, "base model load failed: %s\n",
+                 St.toString().c_str());
     std::abort();
   }
   return System;
@@ -268,4 +279,21 @@ TEST(Flywheel, ResumeMatchesUninterruptedRunByteForByte) {
   flywheel::FlywheelEngine ClashEngine(session().system(), Other);
   StatusOr<flywheel::FlywheelReport> ClashReport = ClashEngine.run();
   EXPECT_EQ(ClashReport.status().code(), StatusCode::FailedPrecondition);
+
+  // So is a system whose base model has another training schedule: the
+  // flywheel options match, but the checkpoints hold a model trained for
+  // one epoch, and this system has run Stage 1 for two (and no training).
+  // The refusal leaves its corpus and model untouched.
+  VegaOptions TwoEpochs;
+  TwoEpochs.Model.Epochs = 2;
+  TwoEpochs.Verbose = false;
+  VegaSystem OtherBase(VegaSession::standardCorpus(), TwoEpochs);
+  OtherBase.buildTemplates();
+  OtherBase.buildDataset();
+  const size_t PairsBefore = OtherBase.trainPairCount();
+  flywheel::FlywheelEngine BaseClashEngine(OtherBase, Opts);
+  StatusOr<flywheel::FlywheelReport> BaseClashReport = BaseClashEngine.run();
+  EXPECT_EQ(BaseClashReport.status().code(), StatusCode::FailedPrecondition);
+  EXPECT_EQ(OtherBase.trainPairCount(), PairsBefore);
+  EXPECT_EQ(OtherBase.model(), nullptr);
 }

@@ -6,10 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// End-to-end: corpus → templates → features → (briefly) fine-tuned CodeBE
-/// → backend generation → pass@1 evaluation. The model here trains for a
-/// single epoch to keep the suite fast; the benches train the full model.
+/// → backend generation → pass@1 evaluation. The model here is the
+/// one-epoch tier-1 model (TestSession.h) to keep the suite fast; the
+/// benches train the full model.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "TestSession.h"
 
 #include "eval/EffortModel.h"
 #include "eval/Harness.h"
@@ -31,17 +34,9 @@ const BackendCorpus &sharedCorpus() {
   return Corpus;
 }
 
+/// The tier-1 model (tests/TestSession.h).
 VegaSystem &trainedSystem() {
-  static VegaSystem *Sys = [] {
-    VegaOptions Opts;
-    Opts.Model.Epochs = 1;
-    Opts.WeightCachePath = "integration_model.bin";
-    auto *S = new VegaSystem(sharedCorpus(), Opts);
-    S->buildTemplates();
-    S->buildDataset();
-    S->trainModel();
-    return S;
-  }();
+  static VegaSystem *Sys = test::tier1System(sharedCorpus()).release();
   return *Sys;
 }
 
@@ -190,25 +185,4 @@ TEST(Integration, TraceCoversAllModulesAndAgreesWithFig7) {
   ASSERT_TRUE(Conf.has_value());
   EXPECT_GT(Conf->Count, 0u);
   EXPECT_EQ(Metrics.counterValue("gen.functions"), GB.Functions.size());
-}
-
-TEST(Integration, WeightCacheRoundTrips) {
-  // A second system with the same options must load the cached weights and
-  // generate identical output.
-  VegaOptions Opts;
-  Opts.Model.Epochs = 1;
-  Opts.WeightCachePath = "integration_model.bin";
-  VegaSystem Sys2(sharedCorpus(), Opts);
-  Sys2.buildTemplates();
-  Sys2.buildDataset();
-  Sys2.trainModel();
-  GeneratedBackend A = trainedSystem().generateBackend("RISCV");
-  GeneratedBackend B = Sys2.generateBackend("RISCV");
-  ASSERT_EQ(A.Functions.size(), B.Functions.size());
-  for (size_t I = 0; I < A.Functions.size(); ++I) {
-    EXPECT_EQ(A.Functions[I].Emitted, B.Functions[I].Emitted);
-    if (A.Functions[I].Emitted && B.Functions[I].Emitted) {
-      EXPECT_EQ(A.Functions[I].AST.render(), B.Functions[I].AST.render());
-    }
-  }
 }

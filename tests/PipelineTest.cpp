@@ -5,12 +5,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestSession.h"
+
 #include "core/Pipeline.h"
 #include "support/BinaryIO.h"
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 using namespace vega;
 
@@ -204,51 +204,20 @@ std::string canon(const GeneratedBackend &GB) {
   return Out;
 }
 
-} // namespace
-
-TEST(Pipeline, WeightCachePathHonorsCacheDirOverride) {
-  // README "Weight caches": an absolute WeightCachePath is used verbatim;
-  // a relative one resolves under $VEGA_CACHE_DIR when that is set and
-  // non-empty; an empty path disables caching regardless of the override.
-  VegaOptions Opts;
-
-  ::unsetenv("VEGA_CACHE_DIR");
-  Opts.WeightCachePath = "model.bin";
-  EXPECT_EQ(Opts.resolvedWeightCachePath(), "model.bin");
-  Opts.WeightCachePath = "/abs/model.bin";
-  EXPECT_EQ(Opts.resolvedWeightCachePath(), "/abs/model.bin");
-  Opts.WeightCachePath.clear();
-  EXPECT_EQ(Opts.resolvedWeightCachePath(), "");
-
-  ::setenv("VEGA_CACHE_DIR", "/tmp/vega-caches", 1);
-  Opts.WeightCachePath = "model.bin";
-  EXPECT_EQ(Opts.resolvedWeightCachePath(), "/tmp/vega-caches/model.bin");
-  Opts.WeightCachePath = "/abs/model.bin"; // absolute wins over the override
-  EXPECT_EQ(Opts.resolvedWeightCachePath(), "/abs/model.bin");
-  Opts.WeightCachePath.clear(); // empty still means "no cache"
-  EXPECT_EQ(Opts.resolvedWeightCachePath(), "");
-
-  ::setenv("VEGA_CACHE_DIR", "/tmp/vega-caches/", 1); // trailing slash ok
-  Opts.WeightCachePath = "model.bin";
-  EXPECT_EQ(Opts.resolvedWeightCachePath(), "/tmp/vega-caches/model.bin");
-
-  ::setenv("VEGA_CACHE_DIR", "", 1); // empty override = disabled
-  EXPECT_EQ(Opts.resolvedWeightCachePath(), "model.bin");
-  ::unsetenv("VEGA_CACHE_DIR");
+/// The tier-1 model (tests/TestSession.h), shared by the jobs and
+/// golden-hash tests.
+VegaSystem &trainedSystem() {
+  static VegaSystem *Sys = test::tier1System(sharedCorpus()).release();
+  return *Sys;
 }
+
+} // namespace
 
 TEST(Pipeline, GeneratedBackendIsIdenticalAcrossJobCounts) {
   // The hard Stage-3 invariant: the worker pool only changes who computes
   // each function, never what is computed — serial and 4-lane runs must
   // produce byte-identical backends (timing fields aside).
-  VegaOptions Opts;
-  Opts.Model.Epochs = 1;
-  Opts.WeightCachePath = "pipeline_jobs_model.bin";
-  VegaSystem Sys(sharedCorpus(), Opts);
-  Sys.buildTemplates();
-  Sys.buildDataset();
-  Sys.trainModel();
-
+  VegaSystem &Sys = trainedSystem();
   Sys.setJobs(1);
   GeneratedBackend Serial = Sys.generateBackend("RISCV");
   Sys.setJobs(4);
@@ -263,27 +232,6 @@ TEST(Pipeline, GeneratedBackendIsIdenticalAcrossJobCounts) {
   Sys.model()->setDecodeMode(CodeBE::DecodeMode::KVCache);
   EXPECT_EQ(canon(Reference), canon(Serial));
 }
-
-namespace {
-
-/// A trained system for the golden-hash invariant. Shares the weight cache
-/// with the jobs test above (same config), so whichever test runs first
-/// trains and the other loads.
-VegaSystem &trainedSystem() {
-  static VegaSystem *Sys = [] {
-    VegaOptions Opts;
-    Opts.Model.Epochs = 1;
-    Opts.WeightCachePath = "pipeline_jobs_model.bin";
-    auto *S = new VegaSystem(sharedCorpus(), Opts);
-    S->buildTemplates();
-    S->buildDataset();
-    S->trainModel();
-    return S;
-  }();
-  return *Sys;
-}
-
-} // namespace
 
 TEST(Pipeline, GoldenBackendHashes) {
   // The safety net for Stage-3 refactors: the canonical text of each

@@ -31,9 +31,10 @@
 ///   vega-cli forkflow <target>            evaluate the MIPS fork baseline
 ///   vega-cli stats --socket=<path>        live stats of a running vega-serve
 ///
-/// With --session=<file.vega>, generate/evaluate load the saved session and
-/// run Stage 3 directly — no template building, no training. Without it they
-/// build a session in-process (weights cached in vega_cli_model.bin).
+/// With --session=<file.vega>, generate/evaluate/repair load the saved
+/// session and run Stage 3 directly — no template building, no training.
+/// Without it they build a session in-process and write no file; to reuse
+/// a model, save it once with `build [epochs] --session=<file.vega>`.
 /// Failures map to exit codes via vega::Status (see README).
 ///
 /// Job-count precedence for Stage-2 training: --train-jobs beats --jobs
@@ -194,7 +195,7 @@ int cmdHarvest(const std::string &Prop, const std::string &Target) {
 }
 
 /// The process-wide session: loaded from --session when given, otherwise
-/// built in-process with the historical vega_cli_model.bin weight cache.
+/// built in-process.
 StatusOr<VegaSession *> session(int Epochs) {
   static std::unique_ptr<VegaSession> S;
   if (S)
@@ -208,7 +209,6 @@ StatusOr<VegaSession *> session(int Epochs) {
   } else {
     VegaOptions Opts;
     Opts.Model.Epochs = Epochs;
-    Opts.WeightCachePath = "vega_cli_model.bin";
     Opts.Verbose = true;
     Opts.Jobs = Cli.Jobs;
     Opts.TrainJobs = Cli.TrainJobs;
