@@ -29,6 +29,11 @@ int main(int argc, char **argv) {
   int Epochs = argc > 2 ? std::atoi(argv[2]) : 6;
 
   BackendCorpus Corpus = BackendCorpus::build(TargetDatabase::standard());
+  if (!Corpus.targets().find(Target)) {
+    std::fprintf(stderr, "error: unknown target '%s'\n", Target.c_str());
+    return 1;
+  }
+
   VegaOptions Opts;
   Opts.Model.Epochs = Epochs;
   VegaSystem Sys(Corpus, Opts);

@@ -6,11 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one table of JSON-RPC error codes the serving fleet speaks. Router
-/// and shard both answer through serve::ErrorCode + toJsonRpc(), so the two
-/// layers cannot disagree on wire codes: a backpressure rejection is -32005
-/// whether the router's admission window or the shard's scheduler queue
-/// tripped it.
+/// The one table of JSON-RPC error codes vega-serve speaks. Every error
+/// response goes through serve::ErrorCode + toJsonRpc(), so no two paths
+/// can disagree on wire codes: a backpressure rejection from the
+/// scheduler's admission queue is always -32005.
 ///
 /// The spec-reserved codes (-32700..-32600 range) are used verbatim;
 /// vega::Status codes map into the implementation-defined -320xx range via

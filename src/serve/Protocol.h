@@ -72,7 +72,7 @@ Json makeRpcResult(const Json &Id, Json Result);
 
 /// {"jsonrpc":"2.0","id":...,"error":{"code":...,"message":...,"data":...}}
 /// The wire number comes from serve::toJsonRpc (serve/Error.h) — the single
-/// code table shared by router and shard.
+/// code table of the daemon.
 Json makeRpcError(const Json &Id, ErrorCode Code, const std::string &Message,
                   const std::string &StatusName = "");
 

@@ -6,15 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shard-local heart of the serving fleet: a continuous-batching
-/// scheduler over one VegaSession. The old daemon queued whole requests
+/// The heart of the vega-serve daemon: a continuous-batching scheduler
+/// over one VegaSession. The old daemon queued whole requests
 /// behind a single batch worker — a request that arrived one tick after a
 /// batch started waited for the entire batch to finish. This scheduler
 /// instead runs a decode loop at generation-unit granularity:
 ///
 ///   * submit() parks a request on a bounded admission queue (a full queue
-///     is a typed ResourceExhausted rejection — the backpressure signal the
-///     router turns into JSON-RPC -32005).
+///     is a typed ResourceExhausted rejection — the backpressure signal
+///     VegaServer answers with JSON-RPC -32005).
 ///   * Each loop iteration first ADMITS: pending requests join the active
 ///     set mid-flight, up to the admission window; a request whose target
 ///     is already generating attaches to that generation instead of opening

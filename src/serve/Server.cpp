@@ -1,4 +1,4 @@
-//===- serve/Server.cpp - The vega-serve shard daemon ------------------------===//
+//===- serve/Server.cpp - The vega-serve generation daemon -------------------===//
 //
 // Part of the VEGA reproduction project.
 // SPDX-License-Identifier: Apache-2.0 WITH LLVM-exception

@@ -1,4 +1,4 @@
-//===- serve/Server.h - The vega-serve shard daemon --------------*- C++ -*-===//
+//===- serve/Server.h - The vega-serve generation daemon ---------*- C++ -*-===//
 //
 // Part of the VEGA reproduction project.
 // SPDX-License-Identifier: Apache-2.0 WITH LLVM-exception
@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A long-running generation daemon over one loaded VegaSession — one shard
-/// of the serving fleet (VegaRouter fronts several of these). Requests
-/// arrive as newline-delimited JSON-RPC 2.0 (over stdio or a local Unix
-/// socket) and flow into the continuous-batching Scheduler: concurrent
-/// requests are admitted mid-flight up to the admission window, interleave
-/// their decode steps in one pool fan-out per step, attach-dedup onto an
+/// A long-running generation daemon over one loaded VegaSession: the one
+/// serving path of vega-serve, one per host (DESIGN §15). Requests arrive
+/// as newline-delimited JSON-RPC 2.0 (over stdio or a local Unix socket)
+/// and flow into the continuous-batching Scheduler: concurrent requests
+/// are admitted mid-flight up to the admission window, interleave their
+/// decode steps in one pool fan-out per step, attach-dedup onto an
 /// in-flight generation of the same target, and retire independently as
 /// they finish. Merges are deterministic, so a response is byte-identical
 /// whether its request ran alone or co-batched with seven neighbours.
@@ -21,7 +21,7 @@
 /// `deadlineMs` (relative to submission); a request past its deadline is
 /// answered Unavailable instead of doing work. When the admission queue is
 /// full, submits are rejected with the typed Overloaded code (-32005) —
-/// the backpressure signal callers and the router react to.
+/// the backpressure signal callers react to.
 ///
 /// Observability: each submitted line gets a RequestContext (monotonic id,
 /// deadline, span flight-recorder ring) at submission time, so measured
@@ -72,10 +72,9 @@ struct ServerOptions {
   /// their flight-recorder span ring to the structured log at warn level.
   /// 0 disables the slow-request dump.
   double SlowMs = 0.0;
-  bool Verbose = false;
 };
 
-/// The shard daemon. One instance serves one session; serveStream()/
+/// The generation daemon. One instance serves one session; serveStream()/
 /// serveSocket() block until shutdown (the `shutdown` method or transport
 /// EOF).
 class VegaServer {
@@ -123,7 +122,7 @@ public:
   Scheduler &scheduler() { return *Sched; }
   const Scheduler &scheduler() const { return *Sched; }
 
-  /// Requests submitted and not yet answered (router/fleet accounting).
+  /// Requests submitted and not yet answered (the `stats` inFlight field).
   uint64_t inFlight() const { return InFlight.load(std::memory_order_relaxed); }
 
 private:

@@ -6,12 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The wire plumbing shared by the shard daemon (VegaServer) and the fleet
-/// front-end (VegaRouter): a blocking NDJSON serve loop over an AF_UNIX
-/// socket, and the matching connect-per-call client used to forward lines
-/// to a remote shard. Both sides speak one line in, one line out, so the
-/// router can forward a request verbatim and relay the shard's response
-/// verbatim — byte-transparent by construction.
+/// The socket plumbing of the vega-serve daemon: a blocking NDJSON serve
+/// loop over an AF_UNIX socket (VegaServer::serveSocket), and the matching
+/// connect-per-call client (`vega-cli stats --socket`). Both sides speak
+/// one line in, one line out.
 ///
 //===----------------------------------------------------------------------===//
 

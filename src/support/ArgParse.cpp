@@ -45,7 +45,6 @@ Status ArgParse::parse(const std::vector<std::string> &Args) {
   Positionals.clear();
   Passthrough.clear();
   Values.clear();
-  MultiValues.clear();
 
   for (size_t I = 0; I < Args.size(); ++I) {
     const std::string &Arg = Args[I];
@@ -83,7 +82,6 @@ Status ArgParse::parse(const std::vector<std::string> &Args) {
         Value = Args[++I];
       }
       Values[Name] = Value;
-      MultiValues[Name].push_back(Value);
       continue;
     }
     if (Command.empty() && !Commands.empty()) {
@@ -125,15 +123,6 @@ const std::string &ArgParse::get(const std::string &Name) const {
   static const std::string Empty;
   auto Decl = Flags.find(Name);
   return Decl != Flags.end() ? Decl->second.Default : Empty;
-}
-
-const std::vector<std::string> &
-ArgParse::getAll(const std::string &Name) const {
-  auto It = MultiValues.find(Name);
-  if (It != MultiValues.end())
-    return It->second;
-  static const std::vector<std::string> Empty;
-  return Empty;
 }
 
 int ArgParse::getInt(const std::string &Name, int Default) const {

@@ -69,11 +69,6 @@ public:
   /// given more than once, the last occurrence wins.
   const std::string &get(const std::string &Name) const;
 
-  /// Every occurrence of option \p Name, in command-line order (empty when
-  /// absent — the default does not count). Lets tools accept repeatable
-  /// options like `--shard=<socket> --shard=<socket>`.
-  const std::vector<std::string> &getAll(const std::string &Name) const;
-
   /// Integer value of option \p Name; \p Default when absent or non-numeric.
   int getInt(const std::string &Name, int Default) const;
 
@@ -117,7 +112,6 @@ private:
   std::vector<std::string> Positionals;
   std::vector<std::string> Passthrough;
   std::map<std::string, std::string> Values;
-  std::map<std::string, std::vector<std::string>> MultiValues;
 };
 
 } // namespace vega

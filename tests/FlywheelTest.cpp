@@ -5,18 +5,19 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Exercises flywheel::FlywheelEngine against a shared one-epoch session:
-/// option validation, the acceptance-gated trajectory invariants (pass@1
-/// monotone non-decreasing, repair reliance non-increasing), the
-/// "vega-flywheel-1" JSON round trip, byte-identical reports across job
-/// counts, and byte-identical artifacts across an interrupt + resume (which
-/// refuses a directory written under other flywheel options or from
-/// another base model).
+/// Exercises flywheel::FlywheelEngine against the tier-1 session
+/// (TestSession.h): option validation, the acceptance-gated trajectory
+/// invariants (pass@1 monotone non-decreasing, repair reliance
+/// non-increasing), the "vega-flywheel-1" JSON round trip, byte-identical
+/// reports across job counts, and byte-identical artifacts across an
+/// interrupt + resume (which refuses a directory written under other
+/// flywheel options or from another base model).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "flywheel/Flywheel.h"
 
+#include "TestSession.h"
 #include "core/Checkpoint.h"
 #include "core/VegaSession.h"
 
@@ -30,27 +31,15 @@ using namespace vega;
 
 namespace {
 
-VegaSession &session() {
-  static std::unique_ptr<VegaSession> S = [] {
-    VegaOptions Opts;
-    Opts.Model.Epochs = 1;
-    Opts.Verbose = false;
-    StatusOr<std::unique_ptr<VegaSession>> Built = VegaSession::build(Opts);
-    if (!Built.isOk()) {
-      std::fprintf(stderr, "session build failed: %s\n",
-                   Built.status().toString().c_str());
-      std::abort();
-    }
-    return std::move(*Built);
-  }();
-  return *S;
-}
-
-/// The shared session saved once, as the base model of every fresh system.
+/// The base model of every fresh system: the fixture artifact under ctest,
+/// else the in-process tier-1 session saved once.
 const std::string &baseArtifact() {
   static const std::string Path = [] {
-    std::string P = "flywheel_test_base.vega";
-    if (Status St = session().save(P); !St.isOk()) {
+    std::string P = test::fixtureSessionPath();
+    if (!P.empty())
+      return P;
+    P = "flywheel_test_base.vega";
+    if (Status St = test::tier1Session().save(P); !St.isOk()) {
       std::fprintf(stderr, "base save failed: %s\n", St.toString().c_str());
       std::abort();
     }
@@ -59,13 +48,11 @@ const std::string &baseArtifact() {
   return Path;
 }
 
-/// A fresh trainable system over the standard corpus holding the shared
-/// session's model — the flywheel mutates its corpus and weights, so every
-/// test works on its own copy.
+/// A fresh trainable system over the standard corpus holding the tier-1
+/// model — the flywheel mutates its corpus and weights, so every test works
+/// on its own copy.
 std::unique_ptr<VegaSystem> freshSystem(int Jobs, int TrainJobs) {
-  VegaOptions Opts;
-  Opts.Model.Epochs = 1;
-  Opts.Verbose = false;
+  VegaOptions Opts = test::tier1Options();
   Opts.Jobs = Jobs;
   Opts.TrainJobs = TrainJobs;
   auto System = std::make_unique<VegaSystem>(VegaSession::standardCorpus(),
@@ -151,7 +138,7 @@ TEST(Flywheel, OptionValidation) {
 TEST(Flywheel, UnknownTargetRejected) {
   flywheel::FlywheelOptions Opts = fastOptions();
   Opts.Targets = {"NoSuchTarget"};
-  flywheel::FlywheelEngine Engine(session().system(), Opts);
+  flywheel::FlywheelEngine Engine(test::tier1Session().system(), Opts);
   StatusOr<flywheel::FlywheelReport> Report = Engine.run();
   EXPECT_EQ(Report.status().code(), StatusCode::InvalidArgument);
 }
@@ -276,7 +263,7 @@ TEST(Flywheel, ResumeMatchesUninterruptedRunByteForByte) {
   flywheel::FlywheelOptions Other = fastOptions();
   Other.OutDir = DirB;
   Other.Seed = 99;
-  flywheel::FlywheelEngine ClashEngine(session().system(), Other);
+  flywheel::FlywheelEngine ClashEngine(test::tier1Session().system(), Other);
   StatusOr<flywheel::FlywheelReport> ClashReport = ClashEngine.run();
   EXPECT_EQ(ClashReport.status().code(), StatusCode::FailedPrecondition);
 

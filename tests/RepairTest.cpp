@@ -5,17 +5,18 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Exercises repair::RepairEngine against a shared one-epoch session: the
-/// oracle-gated acceptance invariant (post-repair accuracy can never drop,
-/// and every committed repair re-validates against the golden regression
-/// suite), option validation, the report's internal consistency, and the
-/// determinism contract (the "vega-repair-1" rendering is byte-identical
-/// across repair job counts).
+/// Exercises repair::RepairEngine against the tier-1 session
+/// (TestSession.h): the oracle-gated acceptance invariant (post-repair
+/// accuracy can never drop, and every committed repair re-validates against
+/// the golden regression suite), option validation, the report's internal
+/// consistency, and the determinism contract (the "vega-repair-1" rendering
+/// is byte-identical across repair job counts).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "repair/RepairEngine.h"
 
+#include "TestSession.h"
 #include "core/VegaSession.h"
 #include "eval/Oracle.h"
 #include "serve/Protocol.h"
@@ -28,24 +29,8 @@ using namespace vega;
 
 namespace {
 
-VegaSession &session() {
-  static std::unique_ptr<VegaSession> S = [] {
-    VegaOptions Opts;
-    Opts.Model.Epochs = 1;
-    Opts.Verbose = false;
-    StatusOr<std::unique_ptr<VegaSession>> Built = VegaSession::build(Opts);
-    if (!Built.isOk()) {
-      std::fprintf(stderr, "session build failed: %s\n",
-                   Built.status().toString().c_str());
-      std::abort();
-    }
-    return std::move(*Built);
-  }();
-  return *S;
-}
-
 const GeneratedBackend &riscvBackend() {
-  static StatusOr<GeneratedBackend> GB = session().generate("RISCV");
+  static StatusOr<GeneratedBackend> GB = test::tier1Session().generate("RISCV");
   if (!GB.isOk()) {
     std::fprintf(stderr, "generate failed: %s\n",
                  GB.status().toString().c_str());
@@ -71,7 +56,8 @@ TEST(Repair, OptionValidation) {
   Opts.MaxSitesPerFunction = 0;
   EXPECT_EQ(Opts.validate().code(), StatusCode::InvalidArgument);
 
-  repair::RepairEngine Engine(session().system(), repair::RepairOptions{});
+  repair::RepairEngine Engine(test::tier1Session().system(),
+                              repair::RepairOptions{});
   GeneratedBackend Bogus;
   Bogus.TargetName = "NoSuchTarget";
   StatusOr<repair::RepairReport> Report = Engine.repairBackend(Bogus);
@@ -82,7 +68,7 @@ TEST(Repair, OracleGatedRepairNeverRegresses) {
   repair::RepairOptions Opts;
   Opts.BeamWidth = 4;
   Opts.MaxRounds = 2;
-  repair::RepairEngine Engine(session().system(), Opts);
+  repair::RepairEngine Engine(test::tier1Session().system(), Opts);
   StatusOr<repair::RepairReport> Report = Engine.repairBackend(riscvBackend());
   ASSERT_TRUE(Report.isOk()) << Report.status().toString();
 
@@ -103,8 +89,9 @@ TEST(Repair, OracleGatedRepairNeverRegresses) {
 
   // Every committed repair re-validates behaviourally: the repaired
   // function must pass the same golden regression suite the engine used.
-  const Backend *Golden = session().corpus().backend("RISCV");
-  const TargetTraits *Traits = session().corpus().targets().find("RISCV");
+  const Backend *Golden = test::tier1Session().corpus().backend("RISCV");
+  const TargetTraits *Traits =
+      test::tier1Session().corpus().targets().find("RISCV");
   ASSERT_NE(Golden, nullptr);
   ASSERT_NE(Traits, nullptr);
   size_t Validated = 0;
@@ -148,11 +135,11 @@ TEST(Repair, ReportJsonByteIdenticalAcrossJobs) {
   Opts.BeamWidth = 3;
   Opts.MaxRounds = 1;
   Opts.Jobs = 1;
-  repair::RepairEngine One(session().system(), Opts);
+  repair::RepairEngine One(test::tier1Session().system(), Opts);
   StatusOr<repair::RepairReport> A = One.repairBackend(riscvBackend());
   ASSERT_TRUE(A.isOk()) << A.status().toString();
   Opts.Jobs = 4;
-  repair::RepairEngine Four(session().system(), Opts);
+  repair::RepairEngine Four(test::tier1Session().system(), Opts);
   StatusOr<repair::RepairReport> B = Four.repairBackend(riscvBackend());
   ASSERT_TRUE(B.isOk()) << B.status().toString();
   EXPECT_EQ(serve::repairToJson(*A).dump(2), serve::repairToJson(*B).dump(2));
@@ -167,7 +154,7 @@ TEST(Repair, DifferentialOracleGatedRepairNeverRegresses) {
   Opts.MaxRounds = 1;
   Opts.OracleImpl = &eval::differentialOracle();
   Opts.Classifier = &eval::differentialOracle();
-  repair::RepairEngine Engine(session().system(), Opts);
+  repair::RepairEngine Engine(test::tier1Session().system(), Opts);
   StatusOr<repair::RepairReport> Report = Engine.repairBackend(riscvBackend());
   ASSERT_TRUE(Report.isOk()) << Report.status().toString();
   EXPECT_GE(Report->RepairedEval.functionAccuracy(),
@@ -180,11 +167,11 @@ TEST(Repair, DifferentialOracleGatedRepairNeverRegresses) {
   // Seeded input generation keeps the differential gate deterministic:
   // the full report renders byte-identically across repair job counts.
   Opts.Jobs = 1;
-  repair::RepairEngine One(session().system(), Opts);
+  repair::RepairEngine One(test::tier1Session().system(), Opts);
   StatusOr<repair::RepairReport> A = One.repairBackend(riscvBackend());
   ASSERT_TRUE(A.isOk()) << A.status().toString();
   Opts.Jobs = 4;
-  repair::RepairEngine Four(session().system(), Opts);
+  repair::RepairEngine Four(test::tier1Session().system(), Opts);
   StatusOr<repair::RepairReport> B = Four.repairBackend(riscvBackend());
   ASSERT_TRUE(B.isOk()) << B.status().toString();
   EXPECT_EQ(serve::repairToJson(*A).dump(2), serve::repairToJson(*B).dump(2));
@@ -196,14 +183,14 @@ TEST(Repair, RejectedCandidatesCollectedOnlyWhenAsked) {
   repair::RepairOptions Opts;
   Opts.BeamWidth = 4;
   Opts.MaxRounds = 2;
-  repair::RepairEngine Plain(session().system(), Opts);
+  repair::RepairEngine Plain(test::tier1Session().system(), Opts);
   StatusOr<repair::RepairReport> Off = Plain.repairBackend(riscvBackend());
   ASSERT_TRUE(Off.isOk()) << Off.status().toString();
   EXPECT_TRUE(Off->Rejected.empty());
 
   Opts.CollectRejected = true;
   Opts.RejectedConfidenceFloor = 0.0;
-  repair::RepairEngine Collecting(session().system(), Opts);
+  repair::RepairEngine Collecting(test::tier1Session().system(), Opts);
   StatusOr<repair::RepairReport> On = Collecting.repairBackend(riscvBackend());
   ASSERT_TRUE(On.isOk()) << On.status().toString();
   EXPECT_EQ(serve::repairToJson(*Off).dump(2), serve::repairToJson(*On).dump(2));
@@ -211,7 +198,7 @@ TEST(Repair, RejectedCandidatesCollectedOnlyWhenAsked) {
   // With the floor at 0 every refuted candidate is recorded; raising it
   // can only shrink the set, and every survivor honours the floor.
   Opts.RejectedConfidenceFloor = 0.5;
-  repair::RepairEngine Floored(session().system(), Opts);
+  repair::RepairEngine Floored(test::tier1Session().system(), Opts);
   StatusOr<repair::RepairReport> Half = Floored.repairBackend(riscvBackend());
   ASSERT_TRUE(Half.isOk()) << Half.status().toString();
   EXPECT_LE(Half->Rejected.size(), On->Rejected.size());
@@ -231,7 +218,7 @@ TEST(Repair, RejectedCandidatesCollectedOnlyWhenAsked) {
 }
 
 TEST(Repair, BeamCandidatesForSiteAreRankedAndDeterministic) {
-  VegaSystem &System = session().system();
+  VegaSystem &System = test::tier1Session().system();
   const GeneratedBackend &GB = riscvBackend();
   // Pick the first emitted statement of the first emitted function.
   const GeneratedFunction *Fn = nullptr;

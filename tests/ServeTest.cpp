@@ -5,24 +5,28 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Exercises the JSON-RPC surface of serve::VegaServer against a shared
-/// one-epoch session: request validation and error codes, the batched
+/// Exercises the JSON-RPC surface of serve::VegaServer against the tier-1
+/// session (TestSession.h): request validation and error codes, the batched
 /// generate path (responses must be byte-identical whether a request runs
 /// alone, inside a forced batch, or concurrently with others), and the
-/// stream transport.
+/// stream and socket transports.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "serve/Router.h"
 #include "serve/Server.h"
 
+#include "TestSession.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "serve/Transport.h"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstdio>
+#include <chrono>
+#include <filesystem>
 #include <future>
 #include <map>
 #include <sstream>
@@ -32,22 +36,6 @@ using namespace vega;
 using namespace vega::serve;
 
 namespace {
-
-VegaSession &session() {
-  static std::unique_ptr<VegaSession> S = [] {
-    VegaOptions Opts;
-    Opts.Model.Epochs = 1;
-    Opts.Verbose = false;
-    StatusOr<std::unique_ptr<VegaSession>> Built = VegaSession::build(Opts);
-    if (!Built.isOk()) {
-      std::fprintf(stderr, "session build failed: %s\n",
-                   Built.status().toString().c_str());
-      std::abort();
-    }
-    return std::move(*Built);
-  }();
-  return *S;
-}
 
 Json parsed(const std::string &Line) {
   StatusOr<Json> Doc = Json::parse(Line);
@@ -63,7 +51,7 @@ int errorCode(const Json &Response) {
 } // namespace
 
 TEST(Serve, PingAndInfo) {
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   Json Ping = parsed(Server.handleLine(R"({"id":1,"method":"ping"})"));
   ASSERT_NE(Ping.get("result"), nullptr);
   EXPECT_TRUE(Ping.get("result")->get("ok")->asBool());
@@ -74,12 +62,13 @@ TEST(Serve, PingAndInfo) {
   const Json *Result = Info.get("result");
   ASSERT_NE(Result, nullptr);
   EXPECT_EQ(Result->getString("schema"), "vega-serve-1");
-  EXPECT_FALSE(Result->get("fromCheckpoint")->asBool());
+  EXPECT_EQ(Result->get("fromCheckpoint")->asBool(),
+            !test::fixtureSessionPath().empty());
   EXPECT_GT(Result->get("targets")->size(), 20u);
 }
 
 TEST(Serve, MalformedRequestsGetRpcErrorCodes) {
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   EXPECT_EQ(errorCode(parsed(Server.handleLine("this is not json"))), -32700);
   EXPECT_EQ(errorCode(parsed(Server.handleLine("[1,2,3]"))), -32600);
   EXPECT_EQ(errorCode(parsed(Server.handleLine(R"({"id":1})"))), -32600);
@@ -97,18 +86,18 @@ TEST(Serve, MalformedRequestsGetRpcErrorCodes) {
 }
 
 TEST(Serve, GenerateMatchesDirectProtocolDump) {
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   Json Response = parsed(Server.handleLine(
       R"({"id":7,"method":"generate","params":{"target":"RISCV"}})"));
   ASSERT_NE(Response.get("result"), nullptr);
-  StatusOr<GeneratedBackend> Direct = session().generate("RISCV");
+  StatusOr<GeneratedBackend> Direct = test::tier1Session().generate("RISCV");
   ASSERT_TRUE(Direct.isOk());
   EXPECT_EQ(Response.get("result")->dump(),
             serve::backendToJson(*Direct).dump());
 }
 
 TEST(Serve, ForcedBatchMatchesSingleRequestResponses) {
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   std::vector<std::string> Lines = {
       R"({"id":1,"method":"generate","params":{"target":"RISCV"}})",
       R"({"id":2,"method":"generate","params":{"target":"RI5CY"}})",
@@ -126,7 +115,7 @@ TEST(Serve, ForcedBatchMatchesSingleRequestResponses) {
 }
 
 TEST(Serve, ConcurrentSubmittersGetIndependentAnswers) {
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   const std::vector<std::string> Targets = {"RISCV", "RI5CY", "XCORE",
                                             "RISCV"};
   std::vector<std::string> Got(Targets.size());
@@ -152,7 +141,7 @@ TEST(Serve, ConcurrentSubmittersGetIndependentAnswers) {
 }
 
 TEST(Serve, EvaluateReportsSchemaAndSummary) {
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   Json Response = parsed(Server.handleLine(
       R"({"id":1,"method":"evaluate","params":{"target":"RISCV"}})"));
   const Json *Result = Response.get("result");
@@ -172,7 +161,7 @@ TEST(Serve, EvaluateReportsSchemaAndSummary) {
 }
 
 TEST(Serve, EvaluateWithBothOraclesReportsDifferentialSummary) {
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   Json Response = parsed(Server.handleLine(
       R"({"id":2,"method":"evaluate","params":{"target":"RISCV","oracle":"both"}})"));
   const Json *Result = Response.get("result");
@@ -275,7 +264,7 @@ TEST(Serve, ErrorTaxonomySerializesAllCombinationsInStableOrder) {
 }
 
 TEST(Serve, RepairMethodReportsSchemaAndNeverRegresses) {
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   Json Response = parsed(Server.handleLine(
       R"({"id":9,"method":"repair","params":{"target":"RISCV","beamWidth":2,"maxRounds":1}})"));
   const Json *Result = Response.get("result");
@@ -303,7 +292,7 @@ TEST(Serve, RepairMethodReportsSchemaAndNeverRegresses) {
 }
 
 TEST(Serve, StatsRpcReportsLiveTelemetry) {
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   obs::MetricsRegistry::instance().clear();
   parsed(Server.handleLine(
       R"({"id":1,"method":"generate","params":{"target":"RISCV"}})"));
@@ -334,7 +323,7 @@ TEST(Serve, StatsTopLevelShapeIsFrozen) {
   // The flywheel is deliberately NOT a serve method — self-training runs
   // offline via vega-cli. Pin the exact "vega-stats-1" top-level key set
   // so no subsystem grows serve-side telemetry surface unnoticed.
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   Json Stats = parsed(Server.handleLine(R"({"id":9,"method":"stats"})"));
   const Json *Result = Stats.get("result");
   ASSERT_NE(Result, nullptr) << Stats.dump();
@@ -358,7 +347,7 @@ TEST(Serve, StatsTopLevelShapeIsFrozen) {
 }
 
 TEST(Serve, DeadlineExceededAnswersUnavailable) {
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   // The deadline is armed relative to request creation; a sub-microsecond
   // budget is always blown by parse time and must never reach generation.
   Json Late = parsed(Server.handleLine(
@@ -377,7 +366,7 @@ TEST(Serve, DeadlineExceededAnswersUnavailable) {
 }
 
 TEST(Serve, EverySpanCarriesItsOriginatingRequestId) {
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   auto &Recorder = obs::TraceRecorder::instance();
   Recorder.clear();
   Recorder.setEnabled(true);
@@ -415,7 +404,7 @@ TEST(Serve, CoBatchedSpansCarryTheirOpenersRequest) {
   // attaches to A's generation. Both generations share the step fan-outs,
   // yet every generation span belongs to the request that opened its
   // generation: RISCV work to A, XCORE work to B, and none to C.
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   auto &Recorder = obs::TraceRecorder::instance();
   Recorder.clear();
   Recorder.setEnabled(true);
@@ -482,7 +471,7 @@ TEST(Serve, CoBatchedSpansCarryTheirOpenersRequest) {
 }
 
 TEST(Serve, StreamTransportAnswersInOrderAndStopsOnShutdown) {
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   std::istringstream In(R"({"id":1,"method":"ping"})"
                         "\n"
                         R"({"id":2,"method":"generate","params":{"target":"RISCV"}})"
@@ -509,7 +498,7 @@ TEST(Serve, CoBatchedEightWayMatchesSoloBytes) {
   // Eight concurrent clients over three targets: every response must be
   // byte-identical to the sequential (solo) answer for the same request
   // line. Co-batching in the decode-step scheduler may only change timing.
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   const std::vector<std::string> Targets = {"RISCV", "RI5CY", "XCORE"};
   std::vector<std::string> Lines, Solo;
   for (size_t I = 0; I < 8; ++I)
@@ -539,7 +528,7 @@ TEST(Serve, MidFlightAdmissionCoBatchesQueuedTargets) {
   // together; resume() must admit both into one co-active step window
   // (MaxCoActive >= 2 — real mid-flight co-residency, not luck), and two
   // queued requests for one target must share a single generation.
-  VegaServer Server(session(), ServerOptions());
+  VegaServer Server(test::tier1Session(), ServerOptions());
   Server.scheduler().pause();
   std::future<std::string> F1 = Server.submitLine(
       R"({"id":1,"method":"generate","params":{"target":"RISCV"}})");
@@ -571,7 +560,7 @@ TEST(Serve, BackpressureRejectsWithTypedOverloadedCode) {
   ServerOptions Options;
   Options.Window = 1;
   Options.MaxQueue = 1;
-  VegaServer Server(session(), Options);
+  VegaServer Server(test::tier1Session(), Options);
   Server.scheduler().pause();
   std::future<std::string> Held = Server.submitLine(
       R"({"id":1,"method":"generate","params":{"target":"RISCV"}})");
@@ -586,54 +575,46 @@ TEST(Serve, BackpressureRejectsWithTypedOverloadedCode) {
   EXPECT_NE(First.get("result"), nullptr);
 }
 
-TEST(Serve, RouterForwardsVerbatimAcrossTwoShards) {
-  // Two in-process shards over the same artifact: the router's shard map
-  // must split the target space, forward generation verbatim to the owner,
-  // and relay bytes identical to a single-server answer. info speaks
-  // vega-serve-2 with the shard map; v1 fields stay present.
-  const std::string Path = "serve_test_router.vega";
-  ASSERT_TRUE(session().save(Path).isOk());
-  std::vector<std::unique_ptr<ShardEndpoint>> Endpoints;
-  for (int I = 0; I < 2; ++I) {
-    StatusOr<std::unique_ptr<VegaSession>> Loaded = VegaSession::load(Path);
-    ASSERT_TRUE(Loaded.isOk()) << Loaded.status().toString();
-    Endpoints.push_back(std::make_unique<LocalShard>(
-        "s" + std::to_string(I), std::move(Loaded.value()), ServerOptions()));
+TEST(Serve, SocketTransportAnswersLikeHandleLineAndStopsOnShutdown) {
+  // AF_UNIX paths hold at most 107 bytes, so the socket gets a short
+  // per-process name under /tmp rather than a path in the build tree.
+  const std::string Path =
+      "/tmp/vega-serve-test-" + std::to_string(::getpid()) + ".sock";
+  VegaServer Server(test::tier1Session(), ServerOptions());
+  std::future<Status> Served = std::async(
+      std::launch::async, [&] { return Server.serveSocket(Path); });
+  // Declared after Served so a failed assertion stops the accept loop
+  // before the future's destructor waits for it.
+  struct StopOnExit {
+    VegaServer &Daemon;
+    ~StopOnExit() { Daemon.shutdown(); }
+  } Stop{Server};
+
+  // The listener binds on its own thread; wait until it answers.
+  bool Up = false;
+  for (int Try = 0; Try < 200 && !Up; ++Try) {
+    Up = callSocketLine(Path, R"({"id":0,"method":"ping"})").isOk();
+    if (!Up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  std::remove(Path.c_str());
-  VegaRouter Fleet(std::move(Endpoints), RouterOptions());
-  ASSERT_TRUE(Fleet.init().isOk());
+  ASSERT_TRUE(Up) << "no listener at " << Path;
 
-  Json Info = parsed(Fleet.handleLine(R"({"id":"i","method":"info"})"));
-  const Json *Result = Info.get("result");
-  ASSERT_NE(Result, nullptr);
-  EXPECT_EQ(Result->getString("schema"), "vega-serve-2");
-  EXPECT_TRUE(Result->get("router")->asBool());
-  ASSERT_NE(Result->get("shards"), nullptr);
-  ASSERT_EQ(Result->get("shards")->size(), 2u);
-  EXPECT_GT(Result->get("targets")->size(), 20u);
-
-  // Round-robin over identical shards: both sides of the map are owned.
-  ASSERT_EQ(Fleet.shardCount(), 2u);
-  std::vector<std::string> OwnedBy[2];
-  for (const auto &[Target, Owner] : Fleet.shardMap())
-    OwnedBy[Owner].push_back(Target);
-  ASSERT_FALSE(OwnedBy[0].empty());
-  ASSERT_FALSE(OwnedBy[1].empty());
-
-  VegaServer Single(session(), ServerOptions());
-  for (const std::string &Target : {OwnedBy[0].front(), OwnedBy[1].front()}) {
-    const std::string Line =
-        R"({"id":7,"method":"generate","params":{"target":")" + Target +
-        R"("}})";
-    EXPECT_EQ(Fleet.handleLine(Line), Single.handleLine(Line))
-        << "target " << Target;
+  for (const std::string Line :
+       {R"({"id":1,"method":"info"})",
+        R"({"id":2,"method":"generate","params":{"target":"RISCV"}})",
+        R"({"id":3,"method":"generate","params":{"target":"Z80"}})",
+        "this is not json"}) {
+    StatusOr<std::string> Reply = callSocketLine(Path, Line);
+    ASSERT_TRUE(Reply.isOk()) << Reply.status().toString();
+    EXPECT_EQ(*Reply, Server.handleLine(Line)) << Line;
   }
-  EXPECT_GT(Fleet.forwardCount(0), 0u);
-  EXPECT_GT(Fleet.forwardCount(1), 0u);
 
-  // Routing rejections carry the same bytes a shard would produce.
-  const std::string Unknown =
-      R"({"id":9,"method":"generate","params":{"target":"Z80"}})";
-  EXPECT_EQ(Fleet.handleLine(Unknown), Single.handleLine(Unknown));
+  StatusOr<std::string> Bye =
+      callSocketLine(Path, R"({"id":4,"method":"shutdown"})");
+  ASSERT_TRUE(Bye.isOk()) << Bye.status().toString();
+  EXPECT_TRUE(parsed(*Bye).get("result")->get("ok")->asBool()) << *Bye;
+  EXPECT_TRUE(Served.get().isOk());
+  EXPECT_FALSE(std::filesystem::exists(Path));
+  EXPECT_EQ(callSocketLine(Path, R"({"id":5,"method":"ping"})").status().code(),
+            StatusCode::Unavailable);
 }

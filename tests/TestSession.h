@@ -20,6 +20,7 @@
 #define VEGA_TESTS_TESTSESSION_H
 
 #include "core/Checkpoint.h"
+#include "core/VegaSession.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -57,6 +58,25 @@ inline std::unique_ptr<VegaSystem> tier1System(const BackendCorpus &Corpus) {
     std::abort();
   }
   return Sys;
+}
+
+/// The tier-1 model as a session, made once per process: VegaSession::load
+/// of the fixture when ctest names it, else VegaSession::build under
+/// tier1Options(). Aborts on failure.
+inline VegaSession &tier1Session() {
+  static std::unique_ptr<VegaSession> S = [] {
+    const std::string Path = fixtureSessionPath();
+    StatusOr<std::unique_ptr<VegaSession>> Made =
+        Path.empty() ? VegaSession::build(tier1Options())
+                     : VegaSession::load(Path);
+    if (!Made.isOk()) {
+      std::fprintf(stderr, "tier-1 session: %s\n",
+                   Made.status().toString().c_str());
+      std::abort();
+    }
+    return std::move(*Made);
+  }();
+  return *S;
 }
 
 } // namespace test
