@@ -14,7 +14,13 @@
 /// inference stack end to end (GEMM GFLOP/s against the naive loop and at
 /// the shapes the workloads run, decode tokens/sec with the KV cache and
 /// with full recomputation, generateBackend wall time at --jobs=1/4 against
-/// the serial full-recompute baseline) and writes the numbers as JSON.
+/// the serial full-recompute baseline, and two passes over every corpus
+/// target with the encoder memo's hit ratio) and writes the numbers as JSON.
+///
+/// Every decode benchmark cycles through more distinct sources than the
+/// encoder memo holds, and every generateBackend time starts from an empty
+/// memo, so they time the model rather than memo hits; only the
+/// `encode_memo` section measures the memo.
 ///
 /// `microbench --training-report=<file>.json` measures fine-tuning
 /// throughput (Trainer examples/sec at --train-jobs=1/4 on a synthetic
@@ -35,6 +41,7 @@
 #include "minicc/Benchmarks.h"
 #include "model/Autograd.h"
 #include "model/Trainer.h"
+#include "obs/Metrics.h"
 #include "sim/Simulator.h"
 #include "support/ArgParse.h"
 #include "support/BinaryIO.h"
@@ -226,6 +233,29 @@ BENCHMARK_CAPTURE(BM_Gemm, nt_48x64x192, GemmCases[3]);
 BENCHMARK_CAPTURE(BM_Gemm, ntaccum_48x192x64, GemmCases[4]);
 BENCHMARK_CAPTURE(BM_Gemm, tnaccum_48x64x192, GemmCases[5]);
 
+/// How many distinct sources a decode benchmark cycles through: more than
+/// the encoder memo's 2 MiB ring holds at DModel 64 (about 2,000 sources
+/// of 4 tokens, 500 of 16), so every decode runs the encoder.
+constexpr size_t RotatedSources = 4096;
+
+/// \p Count distinct sources of \p Len >= 4 tokens: [CLS], then words whose
+/// first three spell the source's index in base Words.size().
+std::vector<std::vector<int>> distinctSources(int ClsId,
+                                              const std::vector<int> &Words,
+                                              size_t Len, size_t Count) {
+  std::vector<std::vector<int>> Srcs;
+  for (size_t I = 0; I < Count; ++I) {
+    std::vector<int> Src = {ClsId};
+    size_t Code = I;
+    while (Src.size() < Len) {
+      Src.push_back(Words[(Code + Src.size() * 7) % Words.size()]);
+      Code /= Words.size();
+    }
+    Srcs.push_back(std::move(Src));
+  }
+  return Srcs;
+}
+
 /// A synthetic decode workload: an untrained (but deterministically seeded)
 /// CodeBE plus a 40-step decode plan that pins one admissible token per
 /// position, so every generate() emits exactly 40 tokens regardless of the
@@ -233,12 +263,13 @@ BENCHMARK_CAPTURE(BM_Gemm, tnaccum_48x64x192, GemmCases[5]);
 /// buckets, two pinned skeleton tokens, one placeholder choosing among six
 /// candidates (one biased), then a pinned tail — 9 tokens, none of them
 /// [EOS]. OnePin pins a single confidence bucket. Sources up to 48 tokens
-/// encode untruncated.
+/// encode untruncated; the decode benchmarks cycle through Srcs.
 struct DecodeFixture {
   Vocab V;
   std::vector<int> Words;
   std::unique_ptr<CodeBE> Model;
-  std::vector<int> Src;
+  std::vector<std::vector<int>> Srcs; ///< RotatedSources of 4 tokens
+  size_t Next = 0;
   CodeBE::DecodePlan Plan;
   int Tokens = 0;
   CodeBE::DecodePlan Stage3Plan;
@@ -251,7 +282,7 @@ struct DecodeFixture {
     C.MaxSrcLen = 48;
     C.MaxDstLen = 48;
     Model = std::make_unique<CodeBE>(V, C);
-    Src = {V.clsId(), Words[3], Words[7], Words[11]};
+    Srcs = distinctSources(V.clsId(), Words, 4, RotatedSources);
     Plan.Steps.push_back({V.csId(20)});
     for (int I = 0; I < 39; ++I)
       Plan.Steps.push_back({Words[static_cast<size_t>(I)]});
@@ -276,13 +307,16 @@ struct DecodeFixture {
     static DecodeFixture F;
     return F;
   }
+
+  /// The next source of the rotation.
+  const std::vector<int> &src() { return Srcs[Next++ % Srcs.size()]; }
 };
 
 void BM_DecodeFullRecompute(benchmark::State &State) {
   DecodeFixture &F = DecodeFixture::instance();
   F.Model->setDecodeMode(CodeBE::DecodeMode::FullRecompute);
   for (auto _ : State)
-    benchmark::DoNotOptimize(F.Model->generate(F.Src, nullptr, &F.Plan));
+    benchmark::DoNotOptimize(F.Model->generate(F.src(), nullptr, &F.Plan));
   F.Model->setDecodeMode(CodeBE::DecodeMode::KVCache);
   State.SetItemsProcessed(State.iterations() * F.Tokens);
 }
@@ -292,7 +326,7 @@ void BM_DecodeKVCache(benchmark::State &State) {
   DecodeFixture &F = DecodeFixture::instance();
   F.Model->setDecodeMode(CodeBE::DecodeMode::KVCache);
   for (auto _ : State)
-    benchmark::DoNotOptimize(F.Model->generate(F.Src, nullptr, &F.Plan));
+    benchmark::DoNotOptimize(F.Model->generate(F.src(), nullptr, &F.Plan));
   State.SetItemsProcessed(State.iterations() * F.Tokens);
 }
 BENCHMARK(BM_DecodeKVCache);
@@ -303,7 +337,7 @@ void BM_DecodeStage3Plan(benchmark::State &State) {
   DecodeFixture &F = DecodeFixture::instance();
   F.Model->setDecodeMode(CodeBE::DecodeMode::KVCache);
   for (auto _ : State)
-    benchmark::DoNotOptimize(F.Model->generate(F.Src, nullptr, &F.Stage3Plan,
+    benchmark::DoNotOptimize(F.Model->generate(F.src(), nullptr, &F.Stage3Plan,
                                                /*WithProbs=*/false));
   State.SetItemsProcessed(State.iterations() *
                           static_cast<int64_t>(F.Stage3Plan.Steps.size()));
@@ -317,11 +351,13 @@ BENCHMARK(BM_DecodeStage3Plan);
 void BM_EncodeSource(benchmark::State &State) {
   DecodeFixture &F = DecodeFixture::instance();
   F.Model->setDecodeMode(CodeBE::DecodeMode::KVCache);
-  std::vector<int> Src = {F.V.clsId()};
-  while (Src.size() < static_cast<size_t>(State.range(0)))
-    Src.push_back(F.Words[(Src.size() * 7) % F.Words.size()]);
+  const std::vector<std::vector<int>> Srcs =
+      distinctSources(F.V.clsId(), F.Words,
+                      static_cast<size_t>(State.range(0)), RotatedSources);
+  size_t I = 0;
   for (auto _ : State)
-    benchmark::DoNotOptimize(F.Model->generate(Src, nullptr, &F.OnePin,
+    benchmark::DoNotOptimize(F.Model->generate(Srcs[I++ % Srcs.size()],
+                                               nullptr, &F.OnePin,
                                                /*WithProbs=*/false));
   State.SetItemsProcessed(State.iterations() * State.range(0));
 }
@@ -418,13 +454,13 @@ template <typename Fn> double measureGflops(double FlopsPerCall, Fn Run) {
 double measureDecodeTokensPerSec(CodeBE::DecodeMode Mode) {
   DecodeFixture &F = DecodeFixture::instance();
   F.Model->setDecodeMode(Mode);
-  F.Model->generate(F.Src, nullptr, &F.Plan); // warm-up
+  F.Model->generate(F.src(), nullptr, &F.Plan); // warm-up
   int Reps = 1;
   double Result = 0.0;
   for (;;) {
     auto T0 = std::chrono::steady_clock::now();
     for (int I = 0; I < Reps; ++I)
-      benchmark::DoNotOptimize(F.Model->generate(F.Src, nullptr, &F.Plan));
+      benchmark::DoNotOptimize(F.Model->generate(F.src(), nullptr, &F.Plan));
     double S = secondsSince(T0);
     if (S >= 2.0) {
       Result = static_cast<double>(F.Tokens) * Reps / S;
@@ -436,14 +472,50 @@ double measureDecodeTokensPerSec(CodeBE::DecodeMode Mode) {
   return Result;
 }
 
-/// One end-to-end Stage-3 wall time on the shared trained system.
+/// Empties the encoder memo through the weights path (a round trip of the
+/// model's own weights) and rebuilds the inference cache that it also
+/// marks stale, so the next timed generation starts cold.
+void emptyEncodeMemo(VegaSystem &Sys) {
+  CodeBE &Model = *Sys.model();
+  if (!Model.loadWeights(Model.saveWeights()))
+    std::fprintf(stderr, "warning: weight round trip failed\n");
+  Model.prepareGenerate();
+}
+
+/// One end-to-end Stage-3 wall time on the shared trained system, from an
+/// empty encoder memo.
 double timeGenerateBackend(VegaSystem &Sys, CodeBE::DecodeMode Mode,
                            int Jobs) {
   Sys.model()->setDecodeMode(Mode);
   Sys.setJobs(Jobs);
+  emptyEncodeMemo(Sys);
   auto T0 = std::chrono::steady_clock::now();
   benchmark::DoNotOptimize(Sys.generateBackend("RISCV"));
   return secondsSince(T0);
+}
+
+/// One pass over every corpus target at --jobs=1: its wall time and the
+/// share of its encodes that the encoder memo served.
+struct MemoPass {
+  double Seconds = 0.0;
+  double HitRatio = 0.0;
+};
+
+MemoPass timeAllTargets(VegaSystem &Sys) {
+  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::instance();
+  const uint64_t H0 = Metrics.counterValue("model.encode_memo_hits");
+  const uint64_t M0 = Metrics.counterValue("model.encode_memo_misses");
+  auto T0 = std::chrono::steady_clock::now();
+  for (const TargetTraits &T : Sys.corpus().targets().targets())
+    benchmark::DoNotOptimize(Sys.generateBackend(T.Name));
+  MemoPass P;
+  P.Seconds = secondsSince(T0);
+  const double Hits = static_cast<double>(
+      Metrics.counterValue("model.encode_memo_hits") - H0);
+  const double Misses = static_cast<double>(
+      Metrics.counterValue("model.encode_memo_misses") - M0);
+  P.HitRatio = Hits + Misses > 0.0 ? Hits / (Hits + Misses) : 0.0;
+  return P;
 }
 
 /// Writes \p Doc to \p Path; returns the process exit code.
@@ -513,8 +585,20 @@ int writeInferenceReport(const std::string &Path) {
       Jobs4Sec = J4;
   }
 
+  std::fprintf(stderr, "measuring the encoder memo over every target...\n");
+  // The counters the hit ratio reads count only while metrics are on.
+  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::instance();
+  const bool MetricsWereOn = Metrics.enabled();
+  Metrics.setEnabled(true);
+  Sys.model()->setDecodeMode(CodeBE::DecodeMode::KVCache);
+  Sys.setJobs(1);
+  emptyEncodeMemo(Sys);
+  const MemoPass First = timeAllTargets(Sys);
+  const MemoPass Second = timeAllTargets(Sys);
+  Metrics.setEnabled(MetricsWereOn);
+
   Json Doc = Json::object();
-  Doc.set("schema", "vega-inference-bench-4");
+  Doc.set("schema", "vega-inference-bench-5");
   Doc.set("host", bench::hostInfo());
   Json Gemm = Json::object();
   Gemm.set("m", GemmM);
@@ -540,6 +624,15 @@ int writeInferenceReport(const std::string &Path) {
   Gen.set("speedup_jobs1_vs_baseline", BaselineSec / Jobs1Sec);
   Gen.set("speedup_jobs4_vs_baseline", BaselineSec / Jobs4Sec);
   Doc.set("generate_backend", std::move(Gen));
+  Json Memo = Json::object();
+  Memo.set("targets",
+           static_cast<uint64_t>(Sys.corpus().targets().targets().size()));
+  Memo.set("jobs", 1);
+  Memo.set("first_pass_sec", First.Seconds);
+  Memo.set("first_pass_hit_ratio", First.HitRatio);
+  Memo.set("second_pass_sec", Second.Seconds);
+  Memo.set("second_pass_hit_ratio", Second.HitRatio);
+  Doc.set("encode_memo", std::move(Memo));
   return writeReport(Path, Doc);
 }
 

@@ -36,7 +36,7 @@ uint64_t CodeBEConfig::fingerprint() const {
 }
 
 CodeBE::CodeBE(Vocab Vocabulary, CodeBEConfig Config)
-    : Vocabulary(std::move(Vocabulary)), Config(Config) {
+    : Vocabulary(std::move(Vocabulary)), Config(Config), Memo(Config.DModel) {
   RNG Seeder(Config.Seed);
   const int D = Config.DModel;
   float S = 0.08f;
@@ -231,6 +231,11 @@ void CodeBE::refreshCombCache() {
   Fresh->Data = Comb->Data;
   CombCache = std::move(Fresh);
   CombDirty.store(false, std::memory_order_release);
+}
+
+void CodeBE::weightsChanged() {
+  CombDirty = true;
+  Memo.clear();
 }
 
 void CodeBE::prepareGenerate() {
@@ -500,9 +505,19 @@ struct CodeBE::GreedyDecode {
 
 CodeBE::KVCacheState CodeBE::encodeForDecode(const std::vector<int> &Input) {
   KVCacheState St;
-  {
-    obs::Span EncSpan("model.encode", "model");
-    St.Memory = runEncoder(Input);
+  // A hit returns the floats the encoder computed for the same ids under
+  // the same weights, so the decode's bytes do not depend on the memo.
+  auto &Metrics = obs::MetricsRegistry::instance();
+  St.Memory = Memo.lookup(Input);
+  if (St.Memory) {
+    Metrics.addCounter("model.encode_memo_hits");
+  } else {
+    {
+      obs::Span EncSpan("model.encode", "model");
+      St.Memory = runEncoder(Input);
+    }
+    Memo.insert(Input, *St.Memory);
+    Metrics.addCounter("model.encode_memo_misses");
   }
   const int Dk = Config.DModel / Config.Heads;
   St.CrossK.resize(Dec.size());
@@ -950,6 +965,9 @@ bool CodeBE::loadWeights(const std::string &Blob) {
   uint64_t Magic = 0;
   if (!Read(&Magic, sizeof(Magic)) || Magic != Config.fingerprint())
     return false;
+  // Before the first write: a load that fails part-way leaves weights that
+  // are neither the old nor the new ones.
+  weightsChanged();
   for (const TensorPtr &P : parameters()) {
     uint64_t N = 0;
     if (!Read(&N, sizeof(N)) || N != P->Data.size())
@@ -957,6 +975,5 @@ bool CodeBE::loadWeights(const std::string &Blob) {
     if (!Read(P->Data.data(), N * sizeof(float)))
       return false;
   }
-  CombDirty = true;
   return Pos == Blob.size();
 }

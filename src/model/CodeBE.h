@@ -20,6 +20,7 @@
 #define VEGA_MODEL_CODEBE_H
 
 #include "model/Autograd.h"
+#include "model/EncodeMemo.h"
 #include "model/Vocab.h"
 
 #include <atomic>
@@ -187,9 +188,10 @@ private:
 
   /// \p Src cut to MaxSrcLen: the input every encoder pass sees.
   std::vector<int> clippedSource(const std::vector<int> &Src) const;
-  /// Runs the encoder over \p Input (the model.encode span) and returns
-  /// the decode scratch over its memory: cross-attention K/V projected once
-  /// and sliced per head, empty self-attention rows.
+  /// The encoder memory of \p Input, from the memo or from an encoder run
+  /// (the model.encode span, opened only on a miss), and the decode scratch
+  /// over it: cross-attention K/V projected once and sliced per head, empty
+  /// self-attention rows.
   KVCacheState encodeForDecode(const std::vector<int> &Input);
   /// Whether the unconstrained-step mask \p Allowed admits \p Id ([EOS]
   /// and the CS buckets always pass; a null mask admits everything).
@@ -245,6 +247,10 @@ private:
   bool decodeGreedyKV(GreedyDecode &D, int Step);
   TensorPtr combinedEmbeddings();
   void refreshCombCache();
+  /// The one invalidation point for what inference derives from the
+  /// weights: marks CombCache stale and empties the encoder memo. Every
+  /// write to the parameters (a training epoch, loadWeights) calls it.
+  void weightsChanged();
   std::vector<TensorPtr> parameters() const;
   std::unique_ptr<Tensor> causalMask(int Len) const;
 
@@ -259,10 +265,13 @@ private:
   TensorPtr CombCache; ///< no-grad combined embeddings for inference
   std::atomic<bool> CombDirty{true};
   std::mutex CombMu; ///< serializes CombCache refresh across threads
+  /// Encoder memory of recent sources, shared by every decode on the KV
+  /// path (DESIGN.md §14); FullRecompute never reads it.
+  model::EncodeMemo Memo;
   DecodeMode Mode = DecodeMode::KVCache;
 
   /// The data-parallel training engine drives trainLoss/parameters/
-  /// combinedEmbeddings directly.
+  /// combinedEmbeddings/weightsChanged directly.
   friend class model::Trainer;
 };
 

@@ -195,7 +195,7 @@ StatusOr<TrainResult> Trainer::run(const std::vector<TrainPair> &Data) {
         flushBatch();
     }
     flushBatch();
-    Model.CombDirty = true;
+    Model.weightsChanged();
 
     double MeanLoss = Count ? LossSum / static_cast<double>(Count) : 0.0;
     double Seconds = EpochSpan.seconds();
@@ -222,7 +222,7 @@ StatusOr<TrainResult> Trainer::run(const std::vector<TrainPair> &Data) {
       Opts.OnEpoch(Stats);
     }
   }
-  Model.CombDirty = true;
+  Model.weightsChanged();
 
   Result.EpochsRun = Opts.Epochs;
   Result.Seconds =

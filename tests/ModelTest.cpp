@@ -21,6 +21,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <utility>
 
 using namespace vega;
 
@@ -1240,6 +1241,20 @@ TEST(CodeBE, PinnedStepSkipPreservesGreedyOutput) {
 
 namespace {
 
+/// How much counters \p A and \p B grow while \p Run runs with metrics on.
+std::pair<uint64_t, uint64_t> counterGrowth(const char *A, const char *B,
+                                            const std::function<void()> &Run) {
+  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::instance();
+  const bool WasEnabled = Metrics.enabled();
+  Metrics.setEnabled(true);
+  const uint64_t A0 = Metrics.counterValue(A), B0 = Metrics.counterValue(B);
+  Run();
+  std::pair<uint64_t, uint64_t> Growth = {Metrics.counterValue(A) - A0,
+                                          Metrics.counterValue(B) - B0};
+  Metrics.setEnabled(WasEnabled);
+  return Growth;
+}
+
 /// Decoder passes and 1×V logit rows one generate() call runs, read from
 /// the model.decoder_passes and model.vocab_projections counters.
 struct DecodeWork {
@@ -1247,17 +1262,9 @@ struct DecodeWork {
 };
 
 DecodeWork workOf(const std::function<void()> &Decode) {
-  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::instance();
-  const bool WasEnabled = Metrics.enabled();
-  Metrics.setEnabled(true);
-  const uint64_t P0 = Metrics.counterValue("model.decoder_passes");
-  const uint64_t V0 = Metrics.counterValue("model.vocab_projections");
-  Decode();
-  DecodeWork W;
-  W.Passes = Metrics.counterValue("model.decoder_passes") - P0;
-  W.Projections = Metrics.counterValue("model.vocab_projections") - V0;
-  Metrics.setEnabled(WasEnabled);
-  return W;
+  auto [Passes, Projections] = counterGrowth(
+      "model.decoder_passes", "model.vocab_projections", Decode);
+  return {Passes, Projections};
 }
 
 } // namespace
@@ -1448,4 +1455,335 @@ TEST(CodeBE, SharedPrefixImmutableUnderConcurrentDecode) {
   });
   for (size_t I = 0; I < Srcs.size(); ++I)
     EXPECT_EQ(Got[I], Want[I]) << "lane " << I;
+}
+
+namespace {
+
+/// Encoder-memo hits and misses of the decodes \p Decode runs, read from
+/// the model.encode_memo_hits and model.encode_memo_misses counters.
+struct MemoCounts {
+  uint64_t Hits = 0, Misses = 0;
+};
+
+MemoCounts memoCountsOf(const std::function<void()> &Decode) {
+  auto [Hits, Misses] = counterGrowth("model.encode_memo_hits",
+                                      "model.encode_memo_misses", Decode);
+  return {Hits, Misses};
+}
+
+/// A new model holding \p Weights, so its memo starts empty.
+std::unique_ptr<CodeBE> modelWith(const Vocab &V, const CodeBEConfig &C,
+                                  const std::string &Weights) {
+  auto Model = std::make_unique<CodeBE>(V, C);
+  EXPECT_TRUE(Model->loadWeights(Weights));
+  return Model;
+}
+
+void expectSameDecode(const CodeBE::Decoded &A, const CodeBE::Decoded &B,
+                      const std::string &What) {
+  EXPECT_EQ(A.Tokens, B.Tokens) << What;
+  ASSERT_EQ(A.Probs.size(), B.Probs.size()) << What;
+  for (size_t I = 0; I < A.Probs.size(); ++I)
+    EXPECT_EQ(A.Probs[I], B.Probs[I]) << What << " position " << I;
+}
+
+void expectSameBeam(const std::vector<CodeBE::BeamHypothesis> &A,
+                    const std::vector<CodeBE::BeamHypothesis> &B,
+                    const std::string &What) {
+  ASSERT_EQ(A.size(), B.size()) << What;
+  for (size_t I = 0; I < A.size(); ++I) {
+    EXPECT_EQ(A[I].Tokens, B[I].Tokens) << What << " rank " << I;
+    EXPECT_EQ(A[I].Score, B[I].Score) << What << " rank " << I;
+  }
+}
+
+} // namespace
+
+TEST(CodeBE, EncodeMemoHitMatchesMissBytes) {
+  // A memo hit hands the decode the floats the encoder computed for the
+  // same ids, so the second decode of a source (a hit) must reproduce the
+  // first (a miss), a freshly built model with the same weights, and the
+  // memo-free FullRecompute reference: tokens, probabilities and beam
+  // scores, compared exactly.
+  SharedDecodeModel &M = SharedDecodeModel::instance();
+  const Vocab &V = M.V;
+  const CodeBEConfig &C = M.Model->config();
+  const std::string Weights = M.Model->saveWeights();
+  auto W = [&](int I) { return V.idOf(M.Words[static_cast<size_t>(I)]); };
+  std::vector<int> Buckets;
+  for (int B = 0; B < Vocab::NumCsBuckets; ++B)
+    Buckets.push_back(V.csId(B));
+  // Stage 3's shape: the buckets, a pin, a multi-id step, a pinned tail.
+  CodeBE::DecodePlan Plan;
+  Plan.Steps = {Buckets, {W(4)}, {W(1), W(2), W(9)}, {W(7)}};
+
+  // The last source is longer than MaxSrcLen: its key is the clipped ids.
+  std::vector<std::vector<int>> Srcs = {
+      {V.clsId(), W(1), W(9)},
+      {V.clsId(), W(7), W(7)},
+      {V.clsId(), W(2), W(5), W(2)},
+      {V.clsId(), W(10), W(3), W(10), W(0), W(11), W(6), W(8), W(4), W(5)}};
+  auto Ref = modelWith(V, C, Weights);
+  Ref->setDecodeMode(CodeBE::DecodeMode::FullRecompute);
+  for (size_t SI = 0; SI < Srcs.size(); ++SI) {
+    const std::vector<int> &Src = Srcs[SI];
+    for (const CodeBE::DecodePlan *P :
+         std::initializer_list<const CodeBE::DecodePlan *>{nullptr, &Plan}) {
+      const std::string What = "source " + std::to_string(SI) +
+                               (P ? " with plan" : " without plan");
+      // The FullRecompute reference runs the encoder itself and never
+      // touches the memo.
+      CodeBE::Decoded RefProbs, RefLean;
+      MemoCounts RefCounts = memoCountsOf([&] {
+        RefProbs = Ref->generate(Src, nullptr, P, true);
+        RefLean = Ref->generate(Src, nullptr, P, false);
+      });
+      EXPECT_EQ(RefCounts.Hits + RefCounts.Misses, 0u) << What;
+
+      for (bool WithProbs : {true, false}) {
+        auto Model = modelWith(V, C, Weights);
+        CodeBE::Decoded Miss, Hit;
+        MemoCounts First = memoCountsOf(
+            [&] { Miss = Model->generate(Src, nullptr, P, WithProbs); });
+        MemoCounts Second = memoCountsOf(
+            [&] { Hit = Model->generate(Src, nullptr, P, WithProbs); });
+        const std::string Case = What + (WithProbs ? " probs" : " lean");
+        EXPECT_EQ(First.Misses, 1u) << Case;
+        EXPECT_EQ(First.Hits, 0u) << Case;
+        EXPECT_EQ(Second.Hits, 1u) << Case;
+        EXPECT_EQ(Second.Misses, 0u) << Case;
+        expectSameDecode(Hit, Miss, Case + " hit vs miss");
+        expectSameDecode(Hit, WithProbs ? RefProbs : RefLean,
+                         Case + " hit vs FullRecompute");
+        expectSameDecode(
+            Hit, modelWith(V, C, Weights)->generate(Src, nullptr, P, WithProbs),
+            Case + " hit vs fresh model");
+      }
+
+      auto Model = modelWith(V, C, Weights);
+      std::vector<CodeBE::BeamHypothesis> Miss, Hit;
+      MemoCounts First =
+          memoCountsOf([&] { Miss = Model->decodeBeam(Src, 4, nullptr, P); });
+      MemoCounts Second =
+          memoCountsOf([&] { Hit = Model->decodeBeam(Src, 4, nullptr, P); });
+      EXPECT_EQ(First.Misses, 1u) << What << " beam";
+      EXPECT_EQ(Second.Hits, 1u) << What << " beam";
+      EXPECT_EQ(Second.Misses, 0u) << What << " beam";
+      ASSERT_FALSE(Hit.empty()) << What << " beam";
+      expectSameBeam(Hit, Miss, What + " beam hit vs miss");
+      expectSameBeam(Hit,
+                     modelWith(V, C, Weights)->decodeBeam(Src, 4, nullptr, P),
+                     What + " beam hit vs fresh model");
+    }
+  }
+
+  // 1,000 distinct sources of one length in 8,192 index slots: some share
+  // a slot, so lookups meet the entry of another source. Those must miss,
+  // never hand one source the memory of another.
+  std::vector<std::vector<int>> Many;
+  for (int I = 0; I < 1000; ++I)
+    Many.push_back({V.clsId(), W(I % 12), W(I / 12 % 12), W(I / 144)});
+  auto Model = modelWith(V, C, Weights);
+  for (const std::vector<int> &Src : Many)
+    Model->generate(Src);
+  std::vector<CodeBE::Decoded> Again;
+  MemoCounts Counts = memoCountsOf([&] {
+    for (const std::vector<int> &Src : Many)
+      Again.push_back(Model->generate(Src));
+  });
+  EXPECT_GT(Counts.Misses, 0u) << "no two sources shared a slot";
+  EXPECT_GT(Counts.Hits, Counts.Misses);
+  for (size_t I = 0; I < Many.size(); ++I)
+    expectSameDecode(Again[I], Ref->generate(Many[I]),
+                     "slot-sharing source " + std::to_string(I));
+}
+
+TEST(CodeBE, EncodeMemoForgetsWhenWeightsChange) {
+  // The memo holds encoder output computed under the weights of the moment.
+  // A training epoch and a loadWeights, also one that fails part-way, must
+  // empty it: otherwise a flywheel round (fine-tune, then generate again)
+  // would decode over stale memory. Each decode after a change must miss
+  // and equal a fresh model that holds the new weights.
+  SharedDecodeModel &M = SharedDecodeModel::instance();
+  const Vocab &V = M.V;
+  const CodeBEConfig &C = M.Model->config();
+  const std::string Trained = M.Model->saveWeights();
+  auto W = [&](int I) { return V.idOf(M.Words[static_cast<size_t>(I)]); };
+  const std::vector<int> Src = {V.clsId(), W(3), W(8)};
+  auto Model = modelWith(V, C, Trained);
+
+  auto ExpectFreshDecode = [&](const std::string &What) {
+    CodeBE::Decoded After;
+    MemoCounts Counts = memoCountsOf([&] { After = Model->generate(Src); });
+    EXPECT_EQ(Counts.Misses, 1u) << What;
+    EXPECT_EQ(Counts.Hits, 0u) << What;
+    expectSameDecode(After,
+                     modelWith(V, C, Model->saveWeights())->generate(Src),
+                     What + " vs fresh model");
+    return After;
+  };
+
+  // One more training epoch.
+  CodeBE::Decoded Before = Model->generate(Src);
+  std::vector<TrainPair> Data;
+  RNG Rng(43);
+  for (int I = 0; I < 16; ++I) {
+    int A = static_cast<int>(Rng.nextBelow(12));
+    int B = static_cast<int>(Rng.nextBelow(12));
+    Data.push_back(
+        {{V.clsId(), W(A), W(B)}, {V.csId(20), W(B), W(A), V.eosId()}});
+  }
+  model::TrainOptions Opts = model::TrainOptions::fromConfig(C);
+  Opts.Epochs = 1;
+  ASSERT_TRUE(model::Trainer(*Model, Opts).run(Data).isOk());
+  CodeBE::Decoded Tuned = ExpectFreshDecode("after an epoch");
+  // A stale hit would have returned the old probabilities.
+  EXPECT_NE(Tuned.Probs, Before.Probs);
+
+  // loadWeights of other weights.
+  Model->generate(Src); // the memo holds Src again
+  CodeBE Untrained(V, C);
+  ASSERT_TRUE(Model->loadWeights(Untrained.saveWeights()));
+  CodeBE::Decoded Loaded = ExpectFreshDecode("after loadWeights");
+  expectSameDecode(Loaded, Untrained.generate(Src), "loaded vs source model");
+  EXPECT_NE(Loaded.Probs, Tuned.Probs);
+
+  // A load that fails part-way has already overwritten the leading
+  // parameters.
+  Model->generate(Src);
+  EXPECT_FALSE(Model->loadWeights(Trained.substr(0, Trained.size() / 2)));
+  CodeBE::Decoded Partial = ExpectFreshDecode("after a failed loadWeights");
+  EXPECT_NE(Partial.Probs, Loaded.Probs);
+}
+
+TEST(CodeBE, EncodeMemoEvictsAtTheRegionEdge) {
+  // The memo is a ring of about 2 MiB in one mapped region; ASan does not
+  // check inside a mapping, so this test is the bounds check. The sources
+  // cycle through lengths up to MaxSrcLen (one more is clipped to it), so
+  // two passes wrap the ring twice and end laps in tails no entry fits.
+  // Decodes that hit, that miss after an eviction, and that follow a
+  // second-chance move must all equal the FullRecompute bytes.
+  Vocab V;
+  std::vector<int> Words;
+  for (int I = 0; I < 40; ++I)
+    Words.push_back(V.addToken("ev" + std::to_string(I)));
+  CodeBEConfig C;
+  C.MaxSrcLen = 128;
+  C.MaxDstLen = 3;
+  CodeBE Model(V, C);
+  CodeBE Ref(V, C); // the same seeded weights
+  Ref.setDecodeMode(CodeBE::DecodeMode::FullRecompute);
+  std::vector<int> Buckets;
+  for (int B = 0; B < Vocab::NumCsBuckets; ++B)
+    Buckets.push_back(V.csId(B));
+  // Two unconstrained steps: the probabilities read every memory float
+  // through the cross attention and the copy head.
+  CodeBE::DecodePlan Plan;
+  Plan.Steps = {Buckets, {}, {}};
+
+  const int Lengths[] = {128, 41, 16, 97, 5, 135};
+  RNG Fill(71);
+  auto SourceOf = [&](int I) {
+    // The first two ids after [CLS] spell I, so the sources are distinct.
+    std::vector<int> Src = {V.clsId(), Words[static_cast<size_t>(I % 40)],
+                            Words[static_cast<size_t>(I / 40)]};
+    while (static_cast<int>(Src.size()) < Lengths[I % 6])
+      Src.push_back(Words[Fill.nextBelow(40)]);
+    return Src;
+  };
+  std::vector<std::vector<int>> Srcs;
+  for (int I = 0; I < 300; ++I)
+    Srcs.push_back(SourceOf(I));
+
+  auto Decode = [&](int I, uint64_t WantHits, const std::string &What) {
+    const std::vector<int> &Src = Srcs[static_cast<size_t>(I)];
+    CodeBE::Decoded Got;
+    MemoCounts Counts =
+        memoCountsOf([&] { Got = Model.generate(Src, nullptr, &Plan); });
+    EXPECT_EQ(Counts.Hits, WantHits) << What << " source " << I;
+    EXPECT_EQ(Counts.Hits + Counts.Misses, 1u) << What << " source " << I;
+    expectSameDecode(Got, Ref.generate(Src, nullptr, &Plan),
+                     What + " source " + std::to_string(I));
+  };
+
+  // 240 distinct sources, about 4.3 MB of entries: all miss.
+  for (int I = 0; I < 240; ++I)
+    Decode(I, 0, "first pass");
+  // Source 130 is live in the older half of the ring: the hit moves it to
+  // the head. 60 new sources then overwrite its old place and 131's.
+  Decode(130, 1, "older-half hit");
+  for (int I = 240; I < 300; ++I)
+    Decode(I, 0, "new source");
+  Decode(130, 1, "moved entry");
+  Decode(131, 0, "evicted neighbour");
+  // The newest entries hit; the first ones were evicted long ago.
+  for (int I = 288; I < 300; ++I)
+    Decode(I, 1, "recent");
+  for (int I = 0; I < 24; ++I)
+    Decode(I, 0, "evicted");
+
+  // A source longer than MaxSrcLen hits the entry of its clipped ids.
+  const std::vector<int> &Recent = Srcs[294]; // 128 ids
+  ASSERT_EQ(Recent.size(), 128u);
+  std::vector<int> Longer = Recent;
+  Longer.insert(Longer.end(), {Words[1], Words[2], Words[3]});
+  CodeBE::Decoded Got;
+  MemoCounts Counts =
+      memoCountsOf([&] { Got = Model.generate(Longer, nullptr, &Plan); });
+  EXPECT_EQ(Counts.Hits, 1u);
+  expectSameDecode(Got, Ref.generate(Longer, nullptr, &Plan),
+                   "clipped longer source");
+}
+
+TEST(CodeBE, EncodeMemoConcurrentDecodes) {
+  // Four threads decode overlapping source sets on one model, so lookups,
+  // copy-outs and inserts of the same keys race; every result must equal
+  // the serial decode on a model of the same weights.
+  SharedDecodeModel &M = SharedDecodeModel::instance();
+  const Vocab &V = M.V;
+  const CodeBEConfig &C = M.Model->config();
+  const std::string Weights = M.Model->saveWeights();
+
+  std::vector<std::vector<int>> Srcs;
+  RNG Pick(73);
+  for (int I = 0; I < 24; ++I)
+    Srcs.push_back({V.clsId(), V.idOf(M.Words[Pick.nextBelow(12)]),
+                    V.idOf(M.Words[Pick.nextBelow(12)]),
+                    V.idOf(M.Words[Pick.nextBelow(12)])});
+
+  auto Serial = modelWith(V, C, Weights);
+  std::vector<CodeBE::Decoded> Want;
+  std::vector<std::vector<CodeBE::BeamHypothesis>> WantBeam;
+  for (const std::vector<int> &S : Srcs) {
+    Want.push_back(Serial->generate(S));
+    WantBeam.push_back(Serial->decodeBeam(S, 2));
+  }
+
+  // Lane L decodes sources L*6 .. L*6+11 (mod 24), twice: every source is
+  // decoded by two lanes, four times in all.
+  const size_t Lanes = 4, PerLane = 12;
+  auto Shared = modelWith(V, C, Weights);
+  std::vector<std::vector<CodeBE::Decoded>> Got(Lanes);
+  std::vector<std::vector<std::vector<CodeBE::BeamHypothesis>>> GotBeam(Lanes);
+  MemoCounts Counts = memoCountsOf([&] {
+    ThreadPool Pool(static_cast<int>(Lanes));
+    Pool.parallelFor(Lanes, [&](size_t L) {
+      for (int Round = 0; Round < 2; ++Round)
+        for (size_t K = 0; K < PerLane; ++K) {
+          const std::vector<int> &S = Srcs[(L * 6 + K) % Srcs.size()];
+          Got[L].push_back(Shared->generate(S));
+          GotBeam[L].push_back(Shared->decodeBeam(S, 2));
+        }
+    });
+  });
+  for (size_t L = 0; L < Lanes; ++L)
+    for (size_t I = 0; I < Got[L].size(); ++I) {
+      const size_t S = (L * 6 + I % PerLane) % Srcs.size();
+      const std::string What =
+          "lane " + std::to_string(L) + " decode " + std::to_string(I);
+      expectSameDecode(Got[L][I], Want[S], What);
+      expectSameBeam(GotBeam[L][I], WantBeam[S], What + " beam");
+    }
+  EXPECT_EQ(Counts.Hits + Counts.Misses, 2 * Lanes * 2 * PerLane);
+  EXPECT_GE(Counts.Hits, Counts.Misses);
 }
