@@ -152,13 +152,20 @@ std::string cpuinfoField(const std::string &Key) {
   return "";
 }
 
-/// The commit of the checkout the bench runs in, with "-dirty" when it has
-/// uncommitted changes, or "unknown" outside one.
+/// The commit of the source tree the bench was built from, with "-dirty"
+/// when it has uncommitted changes, or "unknown" when that tree is not a
+/// git checkout. Asked of the source tree rather than the working
+/// directory, so a report written from anywhere names its own code.
 std::string gitRevision() {
+  std::string Dir = "'";
+  for (char C : std::string(VEGA_BENCH_SOURCE_DIR))
+    Dir += C == '\'' ? std::string("'\\''") : std::string(1, C);
+  Dir += "'";
+  const std::string Cmd = "git -C " + Dir +
+                          " describe --always --dirty --abbrev=40 "
+                          "--exclude='*' 2>/dev/null";
   std::string Rev;
-  if (FILE *P = popen("git describe --always --dirty --abbrev=40 "
-                      "--exclude='*' 2>/dev/null",
-                      "r")) {
+  if (FILE *P = popen(Cmd.c_str(), "r")) {
     char Buf[128];
     while (std::fgets(Buf, sizeof(Buf), P))
       Rev += Buf;

@@ -8,7 +8,7 @@
 /// Load generator for vega-serve: spins up a VegaServer over a
 /// bench-trained session and drives it with 1/8/64 concurrent clients
 /// issuing `generate` requests round-robin over the held-out evaluation
-/// targets — requests co-batch in the continuous decode-step scheduler.
+/// targets — requests co-batch in the continuous-batching scheduler.
 /// Latency is measured client-side (submit to response, queue wait
 /// included); per level the bench reports p50/p95/p99 and backends/sec.
 /// Every response is checked byte-identical to the first response seen for

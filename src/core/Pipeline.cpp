@@ -1053,14 +1053,15 @@ GeneratedBackend VegaSystem::generateBackend(const std::string &TargetName) {
   // CI and the tests key on the span name and its target arg.
   obs::Span StageSpan("stage3.generate_backend", "stage3");
   StageSpan.arg("target", TargetName);
-  // The handle API driven to completion in one shot: every unit rides one
-  // fan-out and the merge runs in template order, so the backend is
-  // byte-identical at any job count.
+  // The handle API driven to completion in one shot: the lanes of one
+  // fan-out pull its units in template order and the merge runs in
+  // template order, so the backend is byte-identical at any job count.
   GenerationHandle H = beginGenerate(TargetName);
-  std::vector<std::pair<GenerationHandle *, size_t>> Work;
-  while (std::optional<size_t> U = H.claimUnit())
-    Work.push_back({&H, *U});
-  runGenerateUnits(Work);
+  runGenerateUnits([&H]() -> std::optional<ClaimedUnit> {
+    if (std::optional<size_t> U = H.claimUnit())
+      return ClaimedUnit{&H, *U};
+    return std::nullopt;
+  });
   return finishGenerate(std::move(H));
 }
 
@@ -1087,23 +1088,27 @@ VegaSystem::beginGenerate(const std::string &TargetName) {
   return H;
 }
 
-void VegaSystem::runGenerateUnits(
-    const std::vector<std::pair<GenerationHandle *, size_t>> &Units) {
-  if (Units.empty())
-    return;
+void VegaSystem::runGenerateUnits(const UnitSource &Next) {
   if (!Pool)
     Pool = std::make_unique<ThreadPool>(Options.Jobs);
-  Pool->parallelFor(Units.size(), [&](size_t I) {
-    GenerationHandle &H = *Units[I].first;
-    const size_t U = Units[I].second;
-    // A fan-out can mix handles of several requests: each unit's spans go
-    // to the request that opened its handle. A handle opened outside any
-    // request keeps the lane's context (the caller's, via the pool).
-    obs::RequestScope ReqScope(H.Request);
-    H.Results[U] = assembleFunction(*H.Units[U], H.Target);
+  // One pull loop per lane.
+  Pool->parallelFor(Pool->jobs(), [&](size_t) {
+    while (std::optional<ClaimedUnit> Claimed = Next()) {
+      GenerationHandle &H = *Claimed->first;
+      const size_t U = Claimed->second;
+      {
+        // A fan-out can mix handles of several requests: each unit's spans
+        // go to the request that opened its handle. A handle opened outside
+        // any request keeps the lane's context (the caller's, via the
+        // pool).
+        obs::RequestScope ReqScope(H.Request);
+        H.Results[U] = assembleFunction(*H.Units[U], H.Target);
+      }
+      // The lane's last touch of H: once every unit is counted, another
+      // lane may fold the handle and free it.
+      H.Executed.fetch_add(1, std::memory_order_acq_rel);
+    }
   });
-  for (const auto &[H, U] : Units)
-    ++H->Executed;
 }
 
 GeneratedBackend VegaSystem::finishGenerate(GenerationHandle H) {
@@ -1120,10 +1125,4 @@ GeneratedBackend VegaSystem::finishGenerate(GenerationHandle H) {
     Backend.Functions.push_back(std::move(Fn));
   }
   return Backend;
-}
-
-unsigned VegaSystem::stage3Lanes() {
-  if (!Pool)
-    Pool = std::make_unique<ThreadPool>(Options.Jobs);
-  return Pool->jobs();
 }

@@ -23,6 +23,7 @@
 #include "support/Status.h"
 #include "support/ThreadPool.h"
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -210,34 +211,59 @@ public:
 
   /// Stage 3: generates a backend for \p TargetName from its description
   /// files. The target must exist in the corpus target database. One
-  /// handle driven to completion: beginGenerate(), every unit claimed into
-  /// one runGenerateUnits() fan-out, then finishGenerate().
+  /// handle driven to completion: beginGenerate(), one runGenerateUnits()
+  /// fan-out whose lanes pull the handle's units in template order, then
+  /// finishGenerate().
   GeneratedBackend generateBackend(const std::string &TargetName);
 
   /// An in-flight Stage-3 generation for one target: the applicable
   /// function templates as independent decode units plus their per-unit
-  /// results. Obtained from beginGenerate(); its claimed units run through
-  /// runGenerateUnits(); folded into a backend by finishGenerate(). Units
-  /// are independent (each decodes one function against read-only system
-  /// state), so units from any mix of handles can share one pool fan-out —
-  /// the per-request currency of the serve scheduler's continuous batching.
-  /// A handle belongs to the request that was current when it opened: its
-  /// units' spans are attributed to that request on whatever lane runs
-  /// them.
+  /// results. Obtained from beginGenerate(); its units are claimed by a
+  /// unit source and run by runGenerateUnits(); folded into a backend by
+  /// finishGenerate(). Units are independent (each decodes one function
+  /// against read-only system state), so units from any mix of handles can
+  /// share one pool fan-out — the per-request currency of the serve
+  /// scheduler's continuous batching. A handle belongs to the request that
+  /// was current when it opened: its units' spans are attributed to that
+  /// request on whatever lane runs them.
+  ///
+  /// claimUnit() and complete() may be called from any lane while the
+  /// handle's units run; moving a handle may not.
   class GenerationHandle {
   public:
     GenerationHandle() = default;
+    GenerationHandle(GenerationHandle &&Other) noexcept {
+      *this = std::move(Other);
+    }
+    GenerationHandle &operator=(GenerationHandle &&Other) noexcept {
+      Target = std::move(Other.Target);
+      Request = Other.Request;
+      Units = std::move(Other.Units);
+      Results = std::move(Other.Results);
+      Cursor.store(Other.Cursor.load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+      Executed.store(Other.Executed.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+      return *this;
+    }
     const std::string &target() const { return Target; }
     size_t unitCount() const { return Units.size(); }
     /// Every unit executed — the handle is ready for finishGenerate().
-    bool complete() const { return Executed == Units.size(); }
-    /// Claims the next unclaimed unit index; nullopt when all are claimed.
-    /// Every claimed unit must run through runGenerateUnits() before
-    /// finishGenerate().
+    /// Reading true makes every unit's result visible to the reader.
+    bool complete() const {
+      return Executed.load(std::memory_order_acquire) == Units.size();
+    }
+    /// Claims the next unclaimed unit index, in template order; nullopt
+    /// when all are claimed. Every claimed unit must run through
+    /// runGenerateUnits() before finishGenerate().
     std::optional<size_t> claimUnit() {
-      if (Cursor >= Units.size())
-        return std::nullopt;
-      return Cursor++;
+      size_t U = Cursor.load(std::memory_order_relaxed);
+      do {
+        if (U >= Units.size())
+          return std::nullopt;
+      } while (!Cursor.compare_exchange_weak(U, U + 1,
+                                             std::memory_order_relaxed));
+      return U;
     }
 
   private:
@@ -248,8 +274,9 @@ public:
     obs::RequestContext *Request = nullptr;
     std::vector<const TemplateInfo *> Units;
     std::vector<GeneratedFunction> Results; ///< index-parallel with Units
-    size_t Cursor = 0;                      ///< next unit to claim
-    size_t Executed = 0;                    ///< units run to completion
+    std::atomic<size_t> Cursor{0};          ///< next unit to claim
+    /// Units run to completion, counted by the lane that ran each one.
+    std::atomic<size_t> Executed{0};
   };
 
   /// Opens a generation handle for \p TargetName: one unit per applicable
@@ -259,23 +286,28 @@ public:
   /// (VegaSession::beginGenerate validates).
   GenerationHandle beginGenerate(const std::string &TargetName);
 
-  /// Executes already-claimed (handle, unit) pairs as one fan-out over the
-  /// shared worker pool — the serve scheduler's "one pass per step". Any
-  /// mix of handles can ride one call; each unit runs with its handle's
-  /// request current, and units are marked executed on return. Not
-  /// reentrant (one fan-out at a time).
-  void
-  runGenerateUnits(const std::vector<std::pair<GenerationHandle *, size_t>> &Units);
+  /// One claimed unit: a handle and the index of one of its units.
+  using ClaimedUnit = std::pair<GenerationHandle *, size_t>;
+  /// Hands out the next unit to run, or nullopt when none is left. Called
+  /// from every lane of a fan-out at once, so it must be thread-safe; it
+  /// may block a lane (the serve scheduler's lanes wait there for
+  /// arrivals).
+  using UnitSource = std::function<std::optional<ClaimedUnit>()>;
+
+  /// One fan-out over the shared worker pool in which every lane pulls
+  /// units from \p Next and runs them until it returns nullopt: a lane
+  /// that finishes a unit claims the next at once, never waiting for a
+  /// slower unit on another lane. Any mix of handles can ride one call;
+  /// each unit runs with its handle's request current, and the lane that
+  /// ran a unit marks it executed (after which another lane may fold and
+  /// free the handle). Not reentrant (one fan-out at a time).
+  void runGenerateUnits(const UnitSource &Next);
 
   /// Folds a complete() handle into its backend: functions merge in
   /// template order with per-module seconds and the gen.functions
   /// counters. Runs no units; VegaSession::finish rejects an incomplete
   /// handle.
   GeneratedBackend finishGenerate(GenerationHandle H);
-
-  /// Lane count of the Stage-3 worker pool (built on first use) — the
-  /// serve scheduler sizes its per-step unit batch to this.
-  unsigned stage3Lanes();
 
   /// Overrides the Stage-3 job count after construction (tests/benches);
   /// the worker pool is rebuilt on the next generateBackend().

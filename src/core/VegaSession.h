@@ -15,8 +15,9 @@
 ///                        re-touching Stage 1/2
 ///   generate(target)     Stage 3 for one target
 ///   beginGenerate(target) / finish(handle)
-///                        Stage 3 as units the serve scheduler claims and
-///                        runs (VegaSystem::runGenerateUnits) between them
+///                        Stage 3 as units that pool lanes pull and run
+///                        (VegaSystem::runGenerateUnits) between them — the
+///                        serve scheduler's currency
 ///
 /// Consumers map Status to their own error surface: vega-cli turns codes
 /// into process exit codes, vega-serve into JSON-RPC error objects.
@@ -67,9 +68,9 @@ public:
   using GenerationHandle = VegaSystem::GenerationHandle;
 
   /// Opens a generation handle for \p Target. NotFound for targets absent
-  /// from the corpus. Claim its units and run them through
-  /// VegaSystem::runGenerateUnits (the serve scheduler does), then fold it
-  /// with finish().
+  /// from the corpus. Hand its units to VegaSystem::runGenerateUnits
+  /// through a unit source (the serve scheduler's lanes pull them one at a
+  /// time), then fold it with finish().
   StatusOr<GenerationHandle> beginGenerate(const std::string &Target);
 
   /// Folds a handle whose units have all run into its backend —

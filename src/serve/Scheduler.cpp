@@ -1,4 +1,4 @@
-//===- serve/Scheduler.cpp - Continuous decode-step batching -----------------===//
+//===- serve/Scheduler.cpp - Continuous unit-level batching ------------------===//
 //
 // Part of the VEGA reproduction project.
 // SPDX-License-Identifier: Apache-2.0 WITH LLVM-exception
@@ -83,7 +83,8 @@ Status Scheduler::submit(const std::string &Target,
     Queue.push_back(PendingAdmission{Target, std::move(W)});
     publishGauges();
   }
-  Cv.notify_one();
+  // The loop thread, or the idle lanes of a running fan-out.
+  Cv.notify_all();
   return Status::ok();
 }
 
@@ -115,22 +116,87 @@ void Scheduler::resume() {
   Cv.notify_all();
 }
 
+std::unique_lock<std::mutex> Scheduler::lockEngine() {
+  // The count changes under Mu, like everything the loop and the lanes
+  // wait on.
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    EngineWaiters.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::unique_lock<std::mutex> Engine(EngineMu);
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    EngineWaiters.fetch_sub(1, std::memory_order_relaxed);
+  }
+  Cv.notify_all();
+  return Engine;
+}
+
 void Scheduler::loop() {
   while (true) {
     {
       std::unique_lock<std::mutex> Lock(Mu);
       Cv.wait(Lock, [this] {
-        return Stop || (!Paused && (!Queue.empty() || !Active.empty()));
+        return Stop ||
+               (!Paused && EngineWaiters.load(std::memory_order_relaxed) == 0 &&
+                (!Queue.empty() || !Active.empty()));
       });
       if (Stop)
         return;
-      admitLocked();
-      if (Active.empty())
-        continue;
+      FanOutCounted = false;
+      FanOutOver = false;
     }
-    stepOnce();
-    retireCompleted();
+    std::lock_guard<std::mutex> EngineLock(EngineMu);
+    Session.system().runGenerateUnits([this] { return pull(); });
   }
+}
+
+std::optional<VegaSystem::ClaimedUnit> Scheduler::pull() {
+  std::unique_lock<std::mutex> Lock(Mu);
+  while (true) {
+    retireLocked();
+    if (FanOutOver || Stop || Paused ||
+        EngineWaiters.load(std::memory_order_relaxed) > 0)
+      break;
+    const size_t Before = Active.size();
+    admitLocked();
+    // Units to claim for the lanes that wait below (a retirement just made
+    // room in a full window, say).
+    if (Active.size() > Before)
+      Cv.notify_all();
+    // Oldest first: requests of equal size finish earliest on average when
+    // the oldest goes first, and later ones still fill every lane it
+    // cannot use.
+    for (ActiveGeneration &G : Active)
+      if (std::optional<size_t> U = G.Handle.claimUnit()) {
+        auto &Metrics = obs::MetricsRegistry::instance();
+        if (!FanOutCounted) {
+          FanOutCounted = true;
+          Steps.fetch_add(1, std::memory_order_relaxed);
+          Metrics.addCounter("serve.sched.steps");
+        }
+        Metrics.observe("serve.batch_size", static_cast<double>(Active.size()));
+        return VegaSystem::ClaimedUnit{&G.Handle, *U};
+      }
+    if (Active.empty())
+      break;
+    // A generation admitted with no units is complete already: retire it.
+    if (std::any_of(Active.begin(), Active.end(),
+                    [](const ActiveGeneration &G) {
+                      return G.Handle.complete();
+                    }))
+      continue;
+    // Every active unit is claimed and some still run on other lanes: wait
+    // for an arrival, or for the last of them to finish and end the
+    // fan-out.
+    Cv.wait(Lock);
+  }
+  // The first lane to leave ends the fan-out for every lane: a request
+  // that arrives now waits for the loop's next fan-out, which starts at
+  // once on all lanes, rather than running on the lanes that are left.
+  FanOutOver = true;
+  Cv.notify_all();
+  return std::nullopt;
 }
 
 void Scheduler::admitLocked() {
@@ -156,8 +222,8 @@ void Scheduler::admitLocked() {
     It = Queue.erase(It);
   }
   // Then open new generations while the window has room. This is where
-  // mid-flight admission happens: the loop re-enters here between every
-  // step, so a request that arrived during a step joins the next one.
+  // mid-flight admission happens: every lane runs it before each claim, so
+  // a request that arrived while units run starts on the next free lane.
   while (Active.size() < static_cast<size_t>(Options.Window) &&
          !Queue.empty()) {
     PendingAdmission P = std::move(Queue.front());
@@ -216,70 +282,32 @@ void Scheduler::admitLocked() {
   publishGauges();
 }
 
-void Scheduler::stepOnce() {
-  // Claim up to one pool's worth of units, round-robin across the active
-  // set so every co-active request advances each step. With fewer active
-  // requests than lanes the extra claims revisit requests with units left
-  // (same-request units are independent), keeping the pool saturated.
-  size_t LaneTarget = std::max(
-      Active.size(), static_cast<size_t>(Session.system().stage3Lanes()));
-  std::vector<std::pair<VegaSession::GenerationHandle *, size_t>> Units;
-  Units.reserve(LaneTarget);
-  bool Claimed = true;
-  while (Units.size() < LaneTarget && Claimed) {
-    Claimed = false;
-    for (ActiveGeneration &G : Active) {
-      if (Units.size() >= LaneTarget)
-        break;
-      if (std::optional<size_t> U = G.Handle.claimUnit()) {
-        Units.emplace_back(&G.Handle, *U);
-        Claimed = true;
-      }
-    }
-  }
-  if (Units.empty())
-    return;
-
-  auto &Metrics = obs::MetricsRegistry::instance();
-  Metrics.addCounter("serve.sched.steps");
-  Metrics.observe("serve.batch_size", static_cast<double>(Active.size()));
-  {
-    // Each unit's spans land in the flight-recorder ring of the request
-    // that opened its handle (see admitLocked).
-    std::lock_guard<std::mutex> EngineLock(EngineMu);
-    Session.system().runGenerateUnits(Units);
-  }
-  Steps.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Scheduler::retireCompleted() {
-  // Fold under Mu so submit() can never attach to a generation that is
-  // mid-retire; the fold itself is a cheap deterministic merge (every unit
-  // already executed), not decode work.
+void Scheduler::retireLocked() {
+  // The fold is a cheap deterministic merge (every unit already ran), not
+  // decode work.
   std::vector<CompletionItem> Done;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (auto It = Active.begin(); It != Active.end();) {
-      if (!It->Handle.complete()) {
-        ++It;
-        continue;
-      }
-      CompletionItem Item;
-      Item.Waiters = std::move(It->Waiters);
-      StatusOr<GeneratedBackend> Backend =
-          Session.finish(std::move(It->Handle));
-      if (Backend.isOk())
-        Item.Backend =
-            std::make_shared<GeneratedBackend>(std::move(Backend.value()));
-      else
-        Item.Error = Backend.status();
-      Done.push_back(std::move(Item));
-      It = Active.erase(It);
-      Retired.fetch_add(1, std::memory_order_relaxed);
-      obs::MetricsRegistry::instance().addCounter("serve.sched.retired");
+  for (auto It = Active.begin(); It != Active.end();) {
+    if (!It->Handle.complete()) {
+      ++It;
+      continue;
     }
-    publishGauges();
+    CompletionItem Item;
+    Item.Waiters = std::move(It->Waiters);
+    StatusOr<GeneratedBackend> Backend = Session.finish(std::move(It->Handle));
+    if (Backend.isOk())
+      Item.Backend =
+          std::make_shared<GeneratedBackend>(std::move(Backend.value()));
+    else
+      Item.Error = Backend.status();
+    Done.push_back(std::move(Item));
+    It = Active.erase(It);
+    Retired.fetch_add(1, std::memory_order_relaxed);
+    obs::MetricsRegistry::instance().addCounter("serve.sched.retired");
   }
+  if (Done.empty())
+    return;
+  // Counted and published first: a waiter that has its answer sees them.
+  publishGauges();
   for (CompletionItem &Item : Done)
     pushCompletion(std::move(Item));
 }

@@ -1,4 +1,4 @@
-//===- serve/Scheduler.h - Continuous decode-step batching -------*- C++ -*-===//
+//===- serve/Scheduler.h - Continuous unit-level batching --------*- C++ -*-===//
 //
 // Part of the VEGA reproduction project.
 // SPDX-License-Identifier: Apache-2.0 WITH LLVM-exception
@@ -10,35 +10,49 @@
 /// over one VegaSession. The old daemon queued whole requests
 /// behind a single batch worker — a request that arrived one tick after a
 /// batch started waited for the entire batch to finish. This scheduler
-/// instead runs a decode loop at generation-unit granularity:
+/// instead works at generation-unit granularity, and its lanes never wait
+/// on one another:
 ///
 ///   * submit() parks a request on a bounded admission queue (a full queue
 ///     is a typed ResourceExhausted rejection — the backpressure signal
 ///     VegaServer answers with JSON-RPC -32005).
-///   * Each loop iteration first ADMITS: pending requests join the active
-///     set mid-flight, up to the admission window; a request whose target
-///     is already generating attaches to that generation instead of opening
-///     a second one (window-exempt — attaching adds no decode work).
-///   * Then it STEPS: one pool fan-out claims up to a lane-count's worth of
-///     generation units round-robin across every active request, so all
-///     co-active requests advance every step and the pool stays saturated
-///     even when one request has most of the remaining units.
-///   * Then it RETIRES: completed generations leave the active set and a
-///     separate completion worker folds the units (VegaSystem's
-///     deterministic template-order merge) and invokes the submitter's
-///     callback — response assembly never stalls the decode loop.
+///   * Once there is work, the loop thread takes the engine lock and runs
+///     one pull fan-out: every lane of the session's Stage-3 pool pulls
+///     units one at a time until nothing is left to claim. Each pull, under
+///     the scheduler's lock, honours pause() and shutdown, then ADMITS —
+///     pending requests join the active set mid-flight, up to the admission
+///     window; a request whose target is already generating attaches to
+///     that generation instead of opening a second one (window-exempt —
+///     attaching adds no decode work) — and then hands out the next
+///     unclaimed unit of the OLDEST active generation that has one. Later
+///     generations fill the lanes older ones cannot use, so a request that
+///     arrives mid-flight starts on the next free lane.
+///   * A generation RETIRES as soon as its last unit has run: the next
+///     pull (normally the lane that ran that unit) folds it and hands its
+///     waiters to a separate completion worker, which runs the submitters'
+///     callbacks — no request waits for another request's units, and
+///     response assembly never stalls a lane.
+///   * A lane with nothing to claim waits while other lanes still run
+///     units (an arrival may bring more); the fan-out ends when nothing is
+///     claimable and nothing runs, and the loop sleeps until the next
+///     submit.
+///
+/// Model work beside serving (the repair RPC) takes the engine lock through
+/// lockEngine(): while such a caller waits, lanes claim nothing, so the
+/// fan-out finishes its in-flight units and releases the lock even under
+/// sustained load.
 ///
 /// Determinism contract: a generation's bytes depend only on its target.
 /// Units execute VegaSystem::assembleFunction() independently and merge in
 /// template order, so a backend produced while co-batched with seven
 /// neighbours is byte-identical to one produced solo by
-/// VegaSession::generate(), which drives the same handle API. The loop
-/// retires only complete handles. Admission order, window size, and
-/// step composition affect timing ONLY; timing is visible through spans
-/// and metrics, never through payloads.
+/// VegaSession::generate(), which drives the same handle API. Only
+/// complete handles retire. Admission order, window size, and which lane
+/// ran which unit affect timing ONLY; timing is visible through spans and
+/// metrics, never through payloads.
 ///
-/// pause()/resume() freeze the loop between steps — test hooks for staging
-/// a known queue composition (mid-flight admission, backpressure).
+/// pause()/resume() stop and restart claims — test hooks for staging a
+/// known queue composition (mid-flight admission, backpressure).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,6 +71,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -116,16 +131,24 @@ public:
 
   SchedulerStats stats() const;
 
-  /// Freezes admission and stepping between loop iterations. In-flight
-  /// pool fan-outs finish; nothing new starts until resume().
+  /// Freezes admission and claims. Units already running finish and their
+  /// generations retire; nothing new starts until resume().
   void pause();
   void resume();
 
-  /// Serializes heavy model work against the decode loop. The loop holds
-  /// this across each step's pool fan-out; completion-side engines that
-  /// re-enter the model (repair) must hold it too — the session's pool and
-  /// decode path are not concurrency-safe across threads.
+  /// Serializes heavy model work against the lanes: the session's pool and
+  /// decode path are not concurrency-safe across threads. The loop holds
+  /// this across each pull fan-out, which under sustained load may not
+  /// end; lock it directly only while the scheduler is idle (a bench
+  /// between load phases).
   std::mutex &engineMutex() { return EngineMu; }
+
+  /// Takes the engine lock for model work beside serving (the repair
+  /// RPC's completion). The caller registers as a waiter first: while one
+  /// is registered lanes claim nothing, so the running fan-out finishes its
+  /// in-flight units and releases the lock. Serving resumes once the
+  /// returned lock is released.
+  std::unique_lock<std::mutex> lockEngine();
 
 private:
   struct Waiter {
@@ -136,9 +159,9 @@ private:
     std::string Target;
     Waiter W;
   };
-  /// One in-flight generation. The list node is created and erased only by
-  /// the loop thread; Waiters is additionally appended by submit() under
-  /// Mu (the attach path).
+  /// One in-flight generation. Every access is under Mu except the lanes'
+  /// use of Handle's units (claimed under Mu, run outside it); the node is
+  /// erased only once every unit has run.
   struct ActiveGeneration {
     std::string Target;
     VegaSession::GenerationHandle Handle;
@@ -152,14 +175,19 @@ private:
   };
 
   void loop();
+  /// The unit source of a pull fan-out, called by every lane: retires
+  /// complete generations, then — unless paused, stopping or an engine
+  /// waiter is registered — admits and hands out the next unit of the
+  /// oldest generation with one left. A lane with nothing to claim waits
+  /// while units still run on other lanes; the first nullopt ends the
+  /// fan-out for every lane.
+  std::optional<VegaSystem::ClaimedUnit> pull();
   /// Admits from the queue under Mu: attach-dedup first (window-exempt),
   /// then open generations while the window has room.
   void admitLocked();
-  /// Claims and runs one step's worth of units across the active set.
-  void stepOnce();
-  /// Folds completed generations off the active set onto the completion
-  /// queue.
-  void retireCompleted();
+  /// Folds complete generations off the active set onto the completion
+  /// queue, under Mu so submit() never attaches to one mid-retire.
+  void retireLocked();
   void completionLoop();
   /// Routes \p W to the completion worker with a terminal \p St.
   void failWaiter(Waiter W, Status St);
@@ -172,11 +200,19 @@ private:
   mutable std::mutex Mu;
   std::condition_variable Cv;
   std::deque<PendingAdmission> Queue; ///< guarded by Mu
-  std::list<ActiveGeneration> Active; ///< structure owned by the loop thread
+  std::list<ActiveGeneration> Active; ///< guarded by Mu; oldest first
   bool Paused = false;                ///< guarded by Mu
   bool Stop = false;                  ///< guarded by Mu
+  /// The running fan-out has claimed a unit (counted in Steps); guarded by
+  /// Mu.
+  bool FanOutCounted = false;
+  /// A lane has left the running fan-out, so every lane leaves; guarded by
+  /// Mu.
+  bool FanOutOver = false;
 
   std::mutex EngineMu;
+  /// Callers blocked in lockEngine(); lanes claim nothing while non-zero.
+  std::atomic<int> EngineWaiters{0};
 
   std::mutex CompMu;
   std::condition_variable CompCv;

@@ -258,7 +258,8 @@ void VegaServer::dispatch(std::string Line,
             return makeRpcResult(R->Id, backendToJson(*Gen));
           if (R->Method == "repair") {
             // The repair engine re-enters the model, so it takes the
-            // scheduler's engine lock — serialized against decode steps.
+            // scheduler's engine lock as a registered waiter: the lanes
+            // stop claiming and release it, even under sustained load.
             // The report is deterministic, so co-batching does not change
             // the payload.
             repair::RepairOptions Opts;
@@ -272,7 +273,7 @@ void VegaServer::dispatch(std::string Line,
             Opts.Classifier = Roles.Classifier;
             repair::RepairEngine Engine(Session.system(), Opts);
             StatusOr<repair::RepairReport> Report = [&] {
-              std::lock_guard<std::mutex> EngineLock(Sched->engineMutex());
+              std::unique_lock<std::mutex> EngineLock = Sched->lockEngine();
               return Engine.repairBackend(*Gen);
             }();
             if (!Report.isOk())

@@ -10,10 +10,10 @@
 /// serving path of vega-serve, one per host (DESIGN §15). Requests arrive
 /// as newline-delimited JSON-RPC 2.0 (over stdio or a local Unix socket)
 /// and flow into the continuous-batching Scheduler: concurrent requests
-/// are admitted mid-flight up to the admission window, interleave their
-/// decode steps in one pool fan-out per step, attach-dedup onto an
+/// are admitted mid-flight up to the admission window, share the pool's
+/// lanes (which pull their units one at a time), attach-dedup onto an
 /// in-flight generation of the same target, and retire independently as
-/// they finish. Merges are deterministic, so a response is byte-identical
+/// soon as their own last unit has run. Merges are deterministic, so a response is byte-identical
 /// whether its request ran alone or co-batched with seven neighbours.
 ///
 /// Methods: ping, info, stats, generate {target}, evaluate {target},

@@ -25,6 +25,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <future>
@@ -46,6 +47,18 @@ Json parsed(const std::string &Line) {
 int errorCode(const Json &Response) {
   const Json *Err = Response.get("error");
   return Err ? static_cast<int>(Err->getNumber("code")) : 0;
+}
+
+/// Spins until \p Ready holds; false when it has not after a minute.
+template <typename Pred> bool waitFor(Pred Ready) {
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::minutes(1);
+  while (!Ready()) {
+    if (std::chrono::steady_clock::now() > Deadline)
+      return false;
+    std::this_thread::yield();
+  }
+  return true;
 }
 
 } // namespace
@@ -497,7 +510,7 @@ TEST(Serve, StreamTransportAnswersInOrderAndStopsOnShutdown) {
 TEST(Serve, CoBatchedEightWayMatchesSoloBytes) {
   // Eight concurrent clients over three targets: every response must be
   // byte-identical to the sequential (solo) answer for the same request
-  // line. Co-batching in the decode-step scheduler may only change timing.
+  // line. Co-batching in the scheduler may only change timing.
   VegaServer Server(test::tier1Session(), ServerOptions());
   const std::vector<std::string> Targets = {"RISCV", "RI5CY", "XCORE"};
   std::vector<std::string> Lines, Solo;
@@ -551,6 +564,160 @@ TEST(Serve, MidFlightAdmissionCoBatchesQueuedTargets) {
   EXPECT_EQ(S.Retired, 2u);
   EXPECT_GE(S.MaxCoActive, 2u);
   EXPECT_EQ(Server.inFlight(), 0u);
+}
+
+TEST(Serve, SoloRequestRunsInOneFanOut) {
+  // The lanes pull a lone request's units one at a time, with no barrier
+  // between lane-sized groups: one fan-out runs every unit, whatever the
+  // lane count.
+  VegaServer Server(test::tier1Session(), ServerOptions());
+  Server.scheduler().pause();
+  std::future<std::string> F = Server.submitLine(
+      R"({"id":1,"method":"generate","params":{"target":"RISCV"}})");
+  Server.scheduler().resume();
+  Json Response = parsed(F.get());
+  const Json *Result = Response.get("result");
+  ASSERT_NE(Result, nullptr) << Response.dump();
+  SchedulerStats S = Server.scheduler().stats();
+  EXPECT_EQ(S.Steps, 1u);
+  EXPECT_EQ(S.Admitted, 1u);
+  EXPECT_EQ(S.Retired, 1u);
+  // Every unit ran: the backend holds one function per unit.
+  StatusOr<VegaSession::GenerationHandle> H =
+      test::tier1Session().beginGenerate("RISCV");
+  ASSERT_TRUE(H.isOk());
+  EXPECT_EQ(Result->get("functions")->size(), H->unitCount());
+}
+
+TEST(Serve, MidFlightArrivalStartsBeforeTheRunningGenerationRetires) {
+  // A request that arrives while another generation's units run is
+  // admitted by the next pull and starts on the next free lane: some unit
+  // of it starts before the running generation's last unit ends (so before
+  // that generation retires), instead of waiting behind it. Span
+  // timestamps order the two. Both answers are still the solo bytes.
+  struct JobsGuard {
+    JobsGuard() { test::tier1Session().setJobs(4); }
+    ~JobsGuard() { test::tier1Session().setJobs(0); }
+  } FourLanes;
+  VegaServer Server(test::tier1Session(), ServerOptions());
+  const std::string LineA =
+      R"({"id":"A","method":"generate","params":{"target":"RISCV"}})";
+  const std::string LineB =
+      R"({"id":"B","method":"generate","params":{"target":"XCORE"}})";
+  const std::string SoloA = Server.handleLine(LineA);
+  const std::string SoloB = Server.handleLine(LineB);
+
+  auto ArgOf = [](const obs::TraceEvent &E, const std::string &Key) {
+    for (const auto &[K, V] : E.Args)
+      if (K == Key)
+        return V;
+    return std::string();
+  };
+  auto &Recorder = obs::TraceRecorder::instance();
+  // B must arrive while A still has a unit to start. The test thread
+  // reacts within microseconds of A's admission, so a retry is needed
+  // only when it was descheduled for all of A's run.
+  bool Staged = false;
+  for (int Attempt = 0; Attempt < 5 && !Staged; ++Attempt) {
+    Recorder.clear();
+    Recorder.setEnabled(true);
+    const uint64_t AdmittedBefore = Server.scheduler().stats().Admitted;
+    std::future<std::string> FA = Server.submitLine(LineA);
+    ASSERT_TRUE(waitFor([&] {
+      return Server.scheduler().stats().Admitted > AdmittedBefore;
+    }));
+    std::future<std::string> FB;
+    {
+      obs::Span Arrival("test.arrival", "test");
+      FB = Server.submitLine(LineB);
+    }
+    const std::string GotA = FA.get(), GotB = FB.get();
+    Recorder.setEnabled(false);
+    EXPECT_EQ(GotA, SoloA);
+    EXPECT_EQ(GotB, SoloB);
+
+    double ArrivalUs = -1, LastAStartUs = -1, LastAEndUs = -1;
+    double FirstBStartUs = -1;
+    for (const obs::TraceEvent &E : Recorder.snapshot()) {
+      if (E.Name == "test.arrival")
+        ArrivalUs = E.StartUs;
+      if (E.Name.rfind("gen.", 0) != 0)
+        continue;
+      const std::string Target = ArgOf(E, "target");
+      if (Target == "RISCV") {
+        LastAStartUs = std::max(LastAStartUs, E.StartUs);
+        LastAEndUs = std::max(LastAEndUs, E.StartUs + E.DurUs);
+      } else if (Target == "XCORE" &&
+                 (FirstBStartUs < 0 || E.StartUs < FirstBStartUs)) {
+        FirstBStartUs = E.StartUs;
+      }
+    }
+    ASSERT_GE(ArrivalUs, 0.0);
+    ASSERT_GE(LastAStartUs, 0.0);
+    ASSERT_GE(FirstBStartUs, 0.0);
+    Staged = ArrivalUs < LastAStartUs;
+    if (Staged) {
+      EXPECT_LT(FirstBStartUs, LastAEndUs)
+          << "the arrival waited for the running generation to retire";
+    }
+  }
+  Recorder.clear();
+  EXPECT_TRUE(Staged) << "never arrived while the first generation ran";
+}
+
+TEST(Serve, RepairIsNotStarvedByAStreamOfGenerates) {
+  // A stream of generate requests keeps four generations active whether or
+  // not answers come back, so the pull fan-out never runs dry on its own.
+  // A repair RPC in the middle takes the engine lock as a registered
+  // waiter: the lanes stop claiming, the repair runs, and it answers with
+  // its usual report while the stream is still going.
+  VegaServer Server(test::tier1Session(), ServerOptions());
+  const std::string RepairLine =
+      R"({"id":"r","method":"repair","params":{"target":"RISCV","beamWidth":2,"maxRounds":1}})";
+  const std::string Solo = Server.handleLine(RepairLine);
+  ASSERT_NE(parsed(Solo).get("result"), nullptr) << Solo;
+
+  std::vector<std::string> Targets;
+  for (const TargetTraits &T :
+       test::tier1Session().corpus().targets().targets())
+    if (T.Name != "RISCV")
+      Targets.push_back(T.Name);
+  ASSERT_GE(Targets.size(), 4u);
+  // Far more requests than the repair needs to wait for: a stream that
+  // reaches the cap starved the repair until the lanes ran dry.
+  constexpr size_t Cap = 400;
+  std::atomic<bool> RepairAnswered{false};
+  std::atomic<size_t> Submitted{0};
+  std::vector<std::future<std::string>> Answers;
+  std::thread Stream([&] {
+    while (!RepairAnswered.load() && Submitted.load() < Cap) {
+      SchedulerStats S = Server.scheduler().stats();
+      if (S.Active + S.QueueDepth >= 4) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        continue;
+      }
+      const size_t I = Submitted.fetch_add(1);
+      Answers.push_back(Server.submitLine(
+          R"({"id":)" + std::to_string(I) +
+          R"(,"method":"generate","params":{"target":")" +
+          Targets[I % Targets.size()] + R"("}})"));
+    }
+  });
+  if (!waitFor([&] { return Submitted.load() >= 8; })) {
+    RepairAnswered = true;
+    Stream.join();
+    FAIL() << "the stream did not get going";
+  }
+  const std::string Got = Server.submitLine(RepairLine).get();
+  const size_t AtAnswer = Submitted.load();
+  RepairAnswered = true;
+  Stream.join();
+  for (std::future<std::string> &F : Answers) {
+    Json Response = parsed(F.get());
+    EXPECT_NE(Response.get("result"), nullptr) << Response.dump();
+  }
+  EXPECT_EQ(Got, Solo);
+  EXPECT_LT(AtAnswer, Cap) << "the repair waited for the stream to end";
 }
 
 TEST(Serve, BackpressureRejectsWithTypedOverloadedCode) {

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <set>
 
 using namespace vega;
@@ -220,15 +221,14 @@ TEST(SessionCheckpoint, LoadReportsMissingFileAsUnavailable) {
 }
 
 TEST(SessionCheckpoint, HandleApiStepLoopMatchesGenerate) {
-  // The serve scheduler's own calls at the session layer: units of two
-  // handles are claimed round-robin and run in fan-outs of three, so each
-  // fan-out mixes both handles. At any lane count every folded backend must
-  // be the bytes of a solo generate() — the scheduler's determinism
-  // contract.
+  // The serve scheduler's own calls at the session layer: a unit source
+  // hands out the units of two handles alternately, three per fan-out, and
+  // the lanes pull them concurrently, so each fan-out mixes both handles.
+  // At any lane count every folded backend must be the bytes of a solo
+  // generate() — the scheduler's determinism contract.
   StatusOr<GeneratedBackend> SoloA = session().generate("RISCV");
   StatusOr<GeneratedBackend> SoloB = session().generate("XCORE");
   ASSERT_TRUE(SoloA.isOk() && SoloB.isOk());
-  using Unit = std::pair<VegaSession::GenerationHandle *, size_t>;
   for (int Jobs : {1, 4}) {
     session().setJobs(Jobs);
     StatusOr<VegaSession::GenerationHandle> A =
@@ -244,26 +244,30 @@ TEST(SessionCheckpoint, HandleApiStepLoopMatchesGenerate) {
                                                                   &B.value()};
     size_t Ran = 0, Mixed = 0;
     for (;;) {
-      std::vector<Unit> FanOut;
-      bool Claimed = true;
-      while (FanOut.size() < 3 && Claimed) {
-        Claimed = false;
-        for (VegaSession::GenerationHandle *H : Handles) {
-          if (FanOut.size() >= 3)
-            break;
-          if (std::optional<size_t> U = H->claimUnit()) {
-            FanOut.emplace_back(H, *U);
-            Claimed = true;
-          }
-        }
-      }
+      std::mutex Mu;
+      size_t Turn = 0;
+      std::vector<VegaSystem::ClaimedUnit> FanOut;
+      session().system().runGenerateUnits(
+          [&]() -> std::optional<VegaSystem::ClaimedUnit> {
+            std::lock_guard<std::mutex> Lock(Mu);
+            if (FanOut.size() >= 3)
+              return std::nullopt;
+            for (size_t Tried = 0; Tried < Handles.size(); ++Tried) {
+              VegaSession::GenerationHandle *H =
+                  Handles[Turn++ % Handles.size()];
+              if (std::optional<size_t> U = H->claimUnit()) {
+                FanOut.emplace_back(H, *U);
+                return FanOut.back();
+              }
+            }
+            return std::nullopt;
+          });
       if (FanOut.empty())
         break;
       std::set<VegaSession::GenerationHandle *> Riders;
-      for (const Unit &U : FanOut)
+      for (const VegaSystem::ClaimedUnit &U : FanOut)
         Riders.insert(U.first);
       Mixed += Riders.size() == Handles.size();
-      session().system().runGenerateUnits(FanOut);
       Ran += FanOut.size();
     }
     EXPECT_EQ(Ran, A->unitCount() + B->unitCount()) << "jobs=" << Jobs;
@@ -293,16 +297,19 @@ TEST(SessionCheckpoint, FinishRejectsFreshHandle) {
 }
 
 TEST(SessionCheckpoint, FinishRejectsHandleWithClaimedUnitNotRun) {
-  // Every unit claimed, all but the last run: the unrun unit must not fold
-  // into the backend as an empty function or count in gen.functions.
+  // One unit claimed and never run, every other unit pulled and run by a
+  // fan-out: the unrun unit must not fold into the backend as an empty
+  // function or count in gen.functions.
   StatusOr<VegaSession::GenerationHandle> H = session().beginGenerate("RISCV");
   ASSERT_TRUE(H.isOk());
-  std::vector<std::pair<VegaSession::GenerationHandle *, size_t>> Units;
-  while (std::optional<size_t> U = H->claimUnit())
-    Units.emplace_back(&H.value(), *U);
-  ASSERT_GT(Units.size(), 1u);
-  Units.pop_back();
-  session().system().runGenerateUnits(Units);
+  ASSERT_GT(H->unitCount(), 1u);
+  ASSERT_TRUE(H->claimUnit().has_value());
+  session().system().runGenerateUnits(
+      [&]() -> std::optional<VegaSystem::ClaimedUnit> {
+        if (std::optional<size_t> U = H->claimUnit())
+          return VegaSystem::ClaimedUnit{&H.value(), *U};
+        return std::nullopt;
+      });
   ASSERT_FALSE(H->complete());
 
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::instance();

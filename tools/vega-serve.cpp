@@ -7,9 +7,9 @@
 ///
 /// Long-running generation daemon: loads one .vega session artifact and
 /// answers newline-delimited JSON-RPC 2.0 requests — over stdio by default,
-/// or an AF_UNIX socket with --socket. Requests co-batch in the continuous
-/// decode-step scheduler. See README "Serving" for the wire protocol and
-/// request examples:
+/// or an AF_UNIX socket with --socket. Requests co-batch in the
+/// continuous-batching scheduler. See README "Serving" for the wire
+/// protocol and request examples:
 ///
 ///   printf '%s\n' '{"id":1,"method":"generate","params":{"target":"RISCV"}}' |
 ///     vega-serve --session=warm.vega
