@@ -179,11 +179,14 @@ struct GemmCase {
 };
 
 /// The shapes the workloads run: the one-row decode step (gemmAccum for the
-/// FF block, gemmNT for the vocabulary projection), the 48-row block of a
-/// full pass, and the two backward kernels of that block in training.
+/// FF block, gemmNT for the vocabulary projection), a width-4 beam step's
+/// projection, the 48-row block of a full pass, and the two backward
+/// kernels of that block in training.
 const GemmCase GemmCases[] = {
     {"gemmAccum", detail::gemmAccum, 1, 64, 192, "decode-step FF"},
     {"gemmNT", detail::gemmNT, 1, 64, 4096, "decode-step vocab projection"},
+    {"gemmNT", detail::gemmNT, 4, 64, 4096,
+     "beam-step vocab projection (4 hypotheses)"},
     {"gemmAccum", detail::gemmAccum, GemmM, GemmK, GemmN, "48-row FF block"},
     {"gemmNT", detail::gemmNT, GemmM, GemmK, GemmN, "48-row A·Bᵀ block"},
     {"gemmNTAccum", detail::gemmNTAccum, GemmM, GemmN, GemmK,
@@ -228,10 +231,11 @@ void BM_Gemm(benchmark::State &State, const GemmCase &Case) {
 }
 BENCHMARK_CAPTURE(BM_Gemm, accum_1x64x192, GemmCases[0]);
 BENCHMARK_CAPTURE(BM_Gemm, nt_1x64x4096, GemmCases[1]);
-BENCHMARK_CAPTURE(BM_Gemm, accum_48x64x192, GemmCases[2]);
-BENCHMARK_CAPTURE(BM_Gemm, nt_48x64x192, GemmCases[3]);
-BENCHMARK_CAPTURE(BM_Gemm, ntaccum_48x192x64, GemmCases[4]);
-BENCHMARK_CAPTURE(BM_Gemm, tnaccum_48x64x192, GemmCases[5]);
+BENCHMARK_CAPTURE(BM_Gemm, nt_4x64x4096, GemmCases[2]);
+BENCHMARK_CAPTURE(BM_Gemm, accum_48x64x192, GemmCases[3]);
+BENCHMARK_CAPTURE(BM_Gemm, nt_48x64x192, GemmCases[4]);
+BENCHMARK_CAPTURE(BM_Gemm, ntaccum_48x192x64, GemmCases[5]);
+BENCHMARK_CAPTURE(BM_Gemm, tnaccum_48x64x192, GemmCases[6]);
 
 /// How many distinct sources a decode benchmark cycles through: more than
 /// the encoder memo's 2 MiB ring holds at DModel 64 (about 2,000 sources
@@ -343,6 +347,20 @@ void BM_DecodeStage3Plan(benchmark::State &State) {
                           static_cast<int64_t>(F.Stage3Plan.Steps.size()));
 }
 BENCHMARK(BM_DecodeStage3Plan);
+
+/// A repair site's decode: a width-4 beam over the Stage-3 plan, every
+/// live hypothesis stepped in one decoder pass and one vocabulary
+/// projection per position.
+void BM_DecodeBeam(benchmark::State &State) {
+  DecodeFixture &F = DecodeFixture::instance();
+  F.Model->setDecodeMode(CodeBE::DecodeMode::KVCache);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(
+        F.Model->decodeBeam(F.src(), /*Width=*/4, nullptr, &F.Stage3Plan));
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(F.Stage3Plan.Steps.size()));
+}
+BENCHMARK(BM_DecodeBeam);
 
 /// One Stage-3 row's encoder work: a decode under a one-position pinned
 /// plan runs the encoder over a source of Arg tokens and projects the

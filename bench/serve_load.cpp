@@ -10,7 +10,10 @@
 /// issuing `generate` requests round-robin over the held-out evaluation
 /// targets — requests co-batch in the continuous-batching scheduler.
 /// Latency is measured client-side (submit to response, queue wait
-/// included); per level the bench reports p50/p95/p99 and backends/sec.
+/// included). One batch of a level takes well under a second, so each
+/// level repeats its batch for at least MinRounds rounds and MinLevelSec
+/// of wall time; it reports the median backends/sec over its rounds with
+/// the quartiles, and p50/p95/p99 over the pooled latencies.
 /// Every response is checked byte-identical to the first response seen for
 /// its target, so concurrency cannot change generated backends.
 ///
@@ -42,8 +45,12 @@ using namespace vega;
 
 namespace {
 
+/// Every level repeats its batch until both bounds are met.
+constexpr int MinRounds = 5;
+constexpr double MinLevelSec = 1.0;
+
 /// Nearest-rank quantile over a sorted sample (0 when empty).
-double quantileMs(const std::vector<double> &Sorted, double Q) {
+double quantile(const std::vector<double> &Sorted, double Q) {
   if (Sorted.empty())
     return 0.0;
   size_t Rank = static_cast<size_t>(Q * static_cast<double>(Sorted.size()));
@@ -52,10 +59,13 @@ double quantileMs(const std::vector<double> &Sorted, double Q) {
 
 struct LevelResult {
   int Clients = 0;
-  size_t Requests = 0;
+  int Rounds = 0;
+  size_t Requests = 0; ///< over all rounds
   size_t Ok = 0;
   size_t Errors = 0;
-  double WallSec = 0.0;
+  double WallSec = 0.0; ///< over all rounds
+  /// Successful backends per second of each round: median and quartiles.
+  double PerSecQ1 = 0.0, PerSec = 0.0, PerSecQ3 = 0.0;
   double P50Ms = 0.0, P95Ms = 0.0, P99Ms = 0.0;
 };
 
@@ -64,14 +74,14 @@ Json levelsToJson(const std::vector<LevelResult> &Results) {
   for (const LevelResult &Level : Results) {
     Json L = Json::object();
     L.set("clients", Level.Clients);
+    L.set("rounds", Level.Rounds);
     L.set("requests", static_cast<uint64_t>(Level.Requests));
     L.set("ok", static_cast<uint64_t>(Level.Ok));
     L.set("errors", static_cast<uint64_t>(Level.Errors));
     L.set("wallSec", Level.WallSec);
-    L.set("backendsPerSec",
-          Level.WallSec > 0.0
-              ? static_cast<double>(Level.Ok) / Level.WallSec
-              : 0.0);
+    L.set("backendsPerSec", Level.PerSec);
+    L.set("backendsPerSecQ1", Level.PerSecQ1);
+    L.set("backendsPerSecQ3", Level.PerSecQ3);
     L.set("p50Ms", Level.P50Ms);
     L.set("p95Ms", Level.P95Ms);
     L.set("p99Ms", Level.P99Ms);
@@ -135,16 +145,12 @@ int main(int argc, char **argv) {
   std::map<std::string, std::string> Reference;
   std::atomic<bool> Deterministic{true};
 
-  auto SweepLevel = [&](int Clients) {
-    // Total volume stays bounded as concurrency grows: every level
-    // issues at least one request per client.
-    size_t PerClient = std::max<size_t>(1, 16 / static_cast<size_t>(Clients));
-    LevelResult Level;
-    Level.Clients = Clients;
-    Level.Requests = PerClient * static_cast<size_t>(Clients);
-
-    std::vector<std::vector<double>> Latencies(static_cast<size_t>(Clients));
-    std::atomic<size_t> ErrorCount{0};
+  // One batch: every client issues PerClient requests; returns the batch's
+  // wall seconds and adds its latencies and errors.
+  auto RunBatch = [&](int Clients, size_t PerClient,
+                      std::vector<double> &Latencies,
+                      std::atomic<size_t> &ErrorCount) {
+    std::vector<std::vector<double>> PerThread(static_cast<size_t>(Clients));
     auto WallStart = std::chrono::steady_clock::now();
     std::vector<std::thread> Pool;
     for (int C = 0; C < Clients; ++C)
@@ -158,7 +164,7 @@ int main(int argc, char **argv) {
               Target + "\"}}";
           auto T0 = std::chrono::steady_clock::now();
           std::string Response = Server.handleLine(Request);
-          Latencies[static_cast<size_t>(C)].push_back(
+          PerThread[static_cast<size_t>(C)].push_back(
               std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - T0)
                   .count());
@@ -182,19 +188,42 @@ int main(int argc, char **argv) {
       });
     for (std::thread &T : Pool)
       T.join();
-    Level.WallSec = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - WallStart)
-                        .count();
+    for (const std::vector<double> &L : PerThread)
+      Latencies.insert(Latencies.end(), L.begin(), L.end());
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         WallStart)
+        .count();
+  };
 
-    std::vector<double> All;
-    for (const std::vector<double> &L : Latencies)
-      All.insert(All.end(), L.begin(), L.end());
-    std::sort(All.begin(), All.end());
+  auto SweepLevel = [&](int Clients) {
+    // Total volume stays bounded as concurrency grows: every batch
+    // issues at least one request per client.
+    size_t PerClient = std::max<size_t>(1, 16 / static_cast<size_t>(Clients));
+    const size_t Batch = PerClient * static_cast<size_t>(Clients);
+    LevelResult Level;
+    Level.Clients = Clients;
+
+    std::vector<double> Latencies, Rates;
+    std::atomic<size_t> ErrorCount{0};
+    while (Level.Rounds < MinRounds || Level.WallSec < MinLevelSec) {
+      const size_t ErrorsBefore = ErrorCount.load();
+      const double Sec = RunBatch(Clients, PerClient, Latencies, ErrorCount);
+      const size_t Ok = Batch - (ErrorCount.load() - ErrorsBefore);
+      Rates.push_back(Sec > 0.0 ? static_cast<double>(Ok) / Sec : 0.0);
+      Level.WallSec += Sec;
+      Level.Requests += Batch;
+      ++Level.Rounds;
+    }
+    std::sort(Latencies.begin(), Latencies.end());
+    std::sort(Rates.begin(), Rates.end());
     Level.Errors = ErrorCount.load();
     Level.Ok = Level.Requests - Level.Errors;
-    Level.P50Ms = quantileMs(All, 0.50);
-    Level.P95Ms = quantileMs(All, 0.95);
-    Level.P99Ms = quantileMs(All, 0.99);
+    Level.PerSecQ1 = quantile(Rates, 0.25);
+    Level.PerSec = quantile(Rates, 0.50);
+    Level.PerSecQ3 = quantile(Rates, 0.75);
+    Level.P50Ms = quantile(Latencies, 0.50);
+    Level.P95Ms = quantile(Latencies, 0.95);
+    Level.P99Ms = quantile(Latencies, 0.99);
     return Level;
   };
 
@@ -222,17 +251,17 @@ int main(int argc, char **argv) {
                     StatsRequests == static_cast<double>(Issued + 1);
 
   TextTable Table;
-  Table.setHeader({"Clients", "Requests", "Errors", "Wall s", "backends/s",
-                   "p50 ms", "p95 ms", "p99 ms"});
+  Table.setHeader({"Clients", "Rounds", "Requests", "Errors", "Wall s",
+                   "backends/s (Q1-Q3)", "p50 ms", "p95 ms", "p99 ms"});
   for (const LevelResult &Level : Results) {
-    double PerSec = Level.WallSec > 0.0
-                        ? static_cast<double>(Level.Ok) / Level.WallSec
-                        : 0.0;
     Table.addRow({std::to_string(Level.Clients),
+                  std::to_string(Level.Rounds),
                   std::to_string(Level.Requests),
                   std::to_string(Level.Errors),
                   TextTable::formatDouble(Level.WallSec),
-                  TextTable::formatDouble(PerSec),
+                  TextTable::formatDouble(Level.PerSec) + " (" +
+                      TextTable::formatDouble(Level.PerSecQ1) + "-" +
+                      TextTable::formatDouble(Level.PerSecQ3) + ")",
                   TextTable::formatDouble(Level.P50Ms),
                   TextTable::formatDouble(Level.P95Ms),
                   TextTable::formatDouble(Level.P99Ms)});

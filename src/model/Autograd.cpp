@@ -261,35 +261,69 @@ chainTile(const float *A, size_t ARow, size_t AInner, const float *B,
   }
 }
 
-/// The chains of C[0, 0..8·NB) for one row \p A of gemmNT, with B (row
-/// stride \p KS) transposed 8×8 in registers as the chains consume it.
-template <int NB, bool AddToC>
+/// The chains of C[r][0..8·NB) for the RM rows of A (row stride \p ARow)
+/// and of C (row stride \p CRow), with B (row stride \p BS) transposed 8×8
+/// in registers as the chains consume it: each tile once for all RM rows.
+template <int RM, int NB, bool AddToC>
 [[gnu::always_inline]] inline void
-transposedTile(const float *A, const float *B, size_t KS, int K, float *C) {
-  V8 Acc[NB] = {};
+transposedTile(const float *A, size_t ARow, const float *B, size_t BS, int K,
+               float *C, size_t CRow) {
+  V8 Acc[RM][NB] = {};
   int P = 0;
   for (; P + 8 <= K; P += 8)
 #pragma GCC unroll 2
     for (int Blk = 0; Blk < NB; ++Blk) {
       V8 T[8];
-      transposeTile(B + Blk * 8 * KS + P, KS, T);
+      transposeTile(B + Blk * 8 * BS + P, BS, T);
 #pragma GCC unroll 8
       for (int Q = 0; Q < 8; ++Q)
-        Acc[Blk] += A[P + Q] * T[Q];
+#pragma GCC unroll 8
+        for (int R = 0; R < RM; ++R)
+          Acc[R][Blk] += A[R * ARow + P + Q] * T[Q];
     }
   for (; P < K; ++P)
 #pragma GCC unroll 2
     for (int Blk = 0; Blk < NB; ++Blk) {
-      const float *BP = B + Blk * 8 * KS + P;
-      V8 Col = {BP[0],      BP[KS],     BP[2 * KS], BP[3 * KS],
-                BP[4 * KS], BP[5 * KS], BP[6 * KS], BP[7 * KS]};
-      Acc[Blk] += A[P] * Col;
+      const float *BP = B + Blk * 8 * BS + P;
+      V8 Col = {BP[0],      BP[BS],     BP[2 * BS], BP[3 * BS],
+                BP[4 * BS], BP[5 * BS], BP[6 * BS], BP[7 * BS]};
+#pragma GCC unroll 8
+      for (int R = 0; R < RM; ++R)
+        Acc[R][Blk] += A[R * ARow + P] * Col;
     }
+#pragma GCC unroll 8
+  for (int R = 0; R < RM; ++R)
 #pragma GCC unroll 2
-  for (int Blk = 0; Blk < NB; ++Blk) {
-    float *Out = C + 8 * Blk;
-    *vec8(Out) = AddToC ? *vec8(Out) + Acc[Blk] : Acc[Blk];
-  }
+    for (int Blk = 0; Blk < NB; ++Blk) {
+      float *Out = C + R * CRow + 8 * Blk;
+      *vec8(Out) = AddToC ? *vec8(Out) + Acc[R][Blk] : Acc[R][Blk];
+    }
+}
+
+/// C = A·Bᵀ (or C += A·Bᵀ) for the RM rows of A (row stride \p ARow) and
+/// of C (row stride \p CRow) against the N rows of B (row stride \p BS):
+/// 8×8 tiles of B transposed in registers, NB column blocks at a time, and
+/// the last N % 8 columns in scalar chains.
+template <int RM, int NB, bool AddToC>
+[[gnu::always_inline]] inline void fewRowsNT(const float *A, size_t ARow,
+                                             const float *B, size_t BS,
+                                             float *C, size_t CRow, int K,
+                                             int N) {
+  const int NFull = N - N % 8;
+  int J = 0;
+  for (; J + 8 * NB <= NFull; J += 8 * NB)
+    transposedTile<RM, NB, AddToC>(A, ARow, B + J * BS, BS, K, C + J, CRow);
+  for (; J < NFull; J += 8)
+    transposedTile<RM, 1, AddToC>(A, ARow, B + J * BS, BS, K, C + J, CRow);
+  for (int R = 0; R < RM; ++R)
+    for (J = NFull; J < N; ++J) {
+      const float *AR = A + R * ARow, *BJ = B + J * BS;
+      float Acc = 0.0f;
+      for (int P = 0; P < K; ++P)
+        Acc += AR[P] * BJ[P];
+      float &Out = C[R * CRow + J];
+      Out = AddToC ? Out + Acc : Acc;
+    }
 }
 
 /// Per-thread gemmNT scratch: the packed K×8 panel and, for the last
@@ -358,24 +392,26 @@ template <bool AddToC>
     }
     return;
   }
-  // Few rows (M = 1 is the decode step): packing would cost more than it
-  // saves, so transpose 8×8 tiles of B in registers, two column blocks at a
-  // time for two independent chains. The last N % 8 columns run scalar.
-  for (int I = 0; I < M; ++I) {
-    const float *AI = A + I * KS;
-    float *CI = C + I * NS;
-    int J = 0;
-    for (; J + 16 <= NFull; J += 16)
-      transposedTile<2, AddToC>(AI, B + J * KS, KS, K, CI + J);
-    for (; J < NFull; J += 8)
-      transposedTile<1, AddToC>(AI, B + J * KS, KS, K, CI + J);
-    for (; J < N; ++J) {
-      const float *BJ = B + J * KS;
-      float Acc = 0.0f;
-      for (int P = 0; P < K; ++P)
-        Acc += AI[P] * BJ[P];
-      CI[J] = AddToC ? CI[J] + Acc : Acc;
-    }
+  // Few rows (M = 1 is the decode step, 2–7 a beam step's live hypotheses
+  // or a short statement in training): packing would cost more than it
+  // saves, so each 8×8 tile of B is transposed in registers once and feeds
+  // the chains of every row. One row takes two column blocks at a time for
+  // two independent chains.
+  switch (M) {
+  case 1:
+    return fewRowsNT<1, 2, AddToC>(A, KS, B, KS, C, NS, K, N);
+  case 2:
+    return fewRowsNT<2, 1, AddToC>(A, KS, B, KS, C, NS, K, N);
+  case 3:
+    return fewRowsNT<3, 1, AddToC>(A, KS, B, KS, C, NS, K, N);
+  case 4:
+    return fewRowsNT<4, 1, AddToC>(A, KS, B, KS, C, NS, K, N);
+  case 5:
+    return fewRowsNT<5, 1, AddToC>(A, KS, B, KS, C, NS, K, N);
+  case 6:
+    return fewRowsNT<6, 1, AddToC>(A, KS, B, KS, C, NS, K, N);
+  case 7:
+    return fewRowsNT<7, 1, AddToC>(A, KS, B, KS, C, NS, K, N);
   }
 }
 
@@ -405,6 +441,94 @@ void vega::detail::gemmTNAccum(const float *A, const float *G, float *C,
   // C (K×N) row r takes its chain over the rows i of A and G, reading
   // a(r, i) = A[i·K + r].
   accumRows(A, 1, static_cast<size_t>(K), G, C, K, M, N);
+}
+
+namespace {
+
+/// Per-thread attendRow scratch: one head's scores, then its weights.
+thread_local std::vector<float> AttnWeights;
+
+/// Out[0..8·NV) = Σ_j W[j]·V_j[0..8·NV) over the window's rows, one chain
+/// per element from +0.0f in ascending row order, a zero weight skipping
+/// its row (gemmAccum's chain).
+template <int NV>
+[[gnu::always_inline]] inline void
+weightedRows(const float *W, const detail::KVSegment *Segs, int NumSegs,
+             size_t DS, size_t Col, float *Out) {
+  V8 Acc[NV] = {};
+  for (int S = 0; S < NumSegs; ++S) {
+    const float *V = Segs[S].V + Col;
+    for (int J = 0; J < Segs[S].Rows; ++J) {
+      const float A = *W++;
+      if (A == 0.0f)
+        continue;
+#pragma GCC unroll 2
+      for (int X = 0; X < NV; ++X)
+        Acc[X] += A * *vec8(V + J * DS + 8 * X);
+    }
+  }
+#pragma GCC unroll 2
+  for (int X = 0; X < NV; ++X)
+    *vec8(Out + 8 * X) = Acc[X];
+}
+
+} // namespace
+
+VEGA_KERNEL_CLONES
+void vega::detail::attendRow(const float *Q, const KVSegment *Segs,
+                             int NumSegs, int D, int Heads, float Scale,
+                             float *Out) {
+  const int Dk = D / Heads;
+  const size_t DS = static_cast<size_t>(D);
+  int Len = 0;
+  for (int S = 0; S < NumSegs; ++S)
+    Len += Segs[S].Rows;
+  AttnWeights.resize(static_cast<size_t>(Len));
+  float *W = AttnWeights.data();
+  for (int H = 0; H < Heads; ++H) {
+    const size_t Col = static_cast<size_t>(H) * Dk;
+    // Scores: gemmNT's one-row chains, eight keys of a segment at a time.
+    float *WS = W;
+    for (int S = 0; S < NumSegs; ++S) {
+      fewRowsNT<1, 2, false>(Q + Col, 0, Segs[S].K + Col, DS, WS, 0, Dk,
+                             Segs[S].Rows);
+      WS += Segs[S].Rows;
+    }
+    // scale, then softmaxRows without a mask.
+    float Max = -1e30f;
+    for (int J = 0; J < Len; ++J) {
+      const float Scaled = W[J] * Scale;
+      W[J] = Scaled + 0.0f;
+      Max = std::max(Max, W[J]);
+    }
+    float Sum = 0.0f;
+    for (int J = 0; J < Len; ++J) {
+      const float E = std::exp(W[J] - Max);
+      W[J] = E;
+      Sum += E;
+    }
+    for (int J = 0; J < Len; ++J)
+      W[J] /= Sum;
+    // The weighted value rows, 16 and then 8 columns at a time.
+    float *OH = Out + Col;
+    int T = 0;
+    for (; T + 16 <= Dk; T += 16)
+      weightedRows<2>(W, Segs, NumSegs, DS, Col + T, OH + T);
+    for (; T + 8 <= Dk; T += 8)
+      weightedRows<1>(W, Segs, NumSegs, DS, Col + T, OH + T);
+    for (; T < Dk; ++T) {
+      float Acc = 0.0f;
+      const float *WJ = W;
+      for (int S = 0; S < NumSegs; ++S)
+        for (int J = 0; J < Segs[S].Rows; ++J) {
+          const float A = *WJ++;
+          if (A == 0.0f)
+            continue;
+          Acc += A * Segs[S].V[J * DS + Col + T];
+        }
+      OH[T] = Acc;
+    }
+  }
 }
 
 const char *vega::detail::gemmVariant() {

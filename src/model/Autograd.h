@@ -228,8 +228,9 @@ void gemmAccum(const float *A, const float *B, float *C, int M, int K,
                int N);
 
 /// C = A·Bᵀ (A: M×K, B: N×K, C: M×N). Chains start at +0.0f and skip
-/// nothing. B is packed into a transposed panel when M ≥ 8 and transposed
-/// 8×8 in registers otherwise (the one-row decode step).
+/// nothing. B is packed into a transposed panel when M ≥ 8; with fewer rows
+/// (the decode step, a beam step's live hypotheses) each 8×8 tile of B is
+/// transposed in registers once and feeds the chains of every row.
 void gemmNT(const float *A, const float *B, float *C, int M, int K, int N);
 
 /// C += A·Bᵀ — the dA = dO·Bᵀ step of matmul backward. Each chain starts
@@ -241,6 +242,27 @@ void gemmNTAccum(const float *A, const float *B, float *C, int M, int K,
 /// backward, with the same zero skip as gemmAccum on the entries of A.
 void gemmTNAccum(const float *A, const float *G, float *C, int M, int K,
                  int N);
+
+/// A run of consecutive rows of an attention window: \p Rows key rows at
+/// \p K and value rows at \p V, each row D floats wide.
+struct KVSegment {
+  const float *K;
+  const float *V;
+  int Rows;
+};
+
+/// Multi-head attention of one query row \p Q (D floats) over the window
+/// whose rows are the \p NumSegs segments at \p Segs, read in place in
+/// order. Out (D floats) receives each head's attention output in its
+/// D / Heads columns, byte-identical to matmulNT(q, K) → scale(·, Scale) →
+/// softmaxRows → matmul(·, V) on that head's column slice of the assembled
+/// window: each score is one chain from +0.0f in ascending column, then
+/// × Scale and + 0.0f; softmax keeps its scalar max scan, its expf/sum
+/// chain in ascending key order and its true division; each output
+/// element is one chain from +0.0f in ascending key order that skips zero
+/// weights, as gemmAccum does.
+void attendRow(const float *Q, const KVSegment *Segs, int NumSegs, int D,
+               int Heads, float Scale, float *Out);
 
 /// The kernel variant this process runs: "avx2" or "default". Mirrors the
 /// load-time choice, for benchmark provenance.

@@ -12,6 +12,7 @@
 #include "support/RNG.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -346,8 +347,8 @@ TensorPtr CodeBE::logitsFor(const TensorPtr &DecOut, const TensorPtr &Memory,
   TensorPtr A = copyAttention(DecOut, Memory);
   TensorPtr Copy = copyScatter(A, SrcIds, static_cast<int>(Vocabulary.size()));
   // The presence tensor is a pure function of (Rows, SrcIds); incremental
-  // decoding hands in the one-row tensor it computed for its first
-  // full-vocabulary step.
+  // decoding hands in the tensor it built for its row count (one row for a
+  // greedy decode, one per live hypothesis for a beam step).
   TensorPtr Presence =
       CachedPresence && CachedPresence->Rows == DecOut->Rows
           ? CachedPresence
@@ -449,19 +450,16 @@ struct CodeBE::KVPrefix {
   int TotalRows = 0;                    ///< rows including the parent chain
 };
 
-/// Incremental decode scratch. SelfK/SelfV hold the per-layer K/V rows this
-/// decode appended past the shared Prefix (row-major, tail-rows×DModel);
-/// CrossK/CrossV hold the cross-attention projections of the encoder
-/// memory, computed once per generate() and pre-sliced per head (read-only,
-/// so forks share them by pointer). Copying a sealed state is the O(1)
-/// copy-on-write fork: the prefix chain and cross projections are shared,
-/// the tail starts empty.
+/// Incremental decode scratch of one hypothesis. SelfK/SelfV hold the
+/// per-layer K/V rows this decode appended past the shared Prefix
+/// (row-major, tail-rows×DModel). Copying a sealed state is the O(1)
+/// copy-on-write fork: the prefix chain is shared, the tail starts empty.
 struct CodeBE::KVCacheState {
-  TensorPtr Memory;
-  std::vector<std::vector<TensorPtr>> CrossK, CrossV; ///< [layer][head]
-  std::shared_ptr<const KVPrefix> Prefix;             ///< sealed shared rows
-  std::vector<std::vector<float>> SelfK, SelfV;       ///< [layer] owned tail
+  std::shared_ptr<const KVPrefix> Prefix;       ///< sealed shared rows
+  std::vector<std::vector<float>> SelfK, SelfV; ///< [layer] owned tail
   int Len = 0; ///< total rows = prefix rows + tail rows
+
+  explicit KVCacheState(size_t Layers) : SelfK(Layers), SelfV(Layers) {}
 
   int prefixRows() const { return Prefix ? Prefix->TotalRows : 0; }
 
@@ -485,8 +483,16 @@ struct CodeBE::KVCacheState {
   }
 };
 
-/// One greedy KV-cached decode: its borrowed input and constraints, the KV
-/// scratch, the previous token, and the partial result.
+/// CrossK/CrossV are the cross-attention projections of the encoder memory
+/// (SrcLen×DModel per layer), read-only, so any number of hypotheses and
+/// threads read them at once.
+struct CodeBE::DecodeMemory {
+  TensorPtr Memory;
+  std::vector<TensorPtr> CrossK, CrossV; ///< [layer]
+};
+
+/// One greedy KV-cached decode: its borrowed input and constraints, the
+/// encoder side, the KV scratch, the previous token, and the partial result.
 struct CodeBE::GreedyDecode {
   const std::vector<int> &Input; ///< Src truncated to MaxSrcLen
   const std::vector<uint8_t> *Allowed;
@@ -495,124 +501,123 @@ struct CodeBE::GreedyDecode {
   /// The plan's last position whose set is not a singleton (-1 when every
   /// position is pinned). Nothing reads a decoder pass after it.
   int LastFree = -1;
+  DecodeMemory Mem;
   KVCacheState St;
   TensorPtr PresenceRow = nullptr; ///< built by the first full-vocabulary step
   Decoded Result = {};
   int PrevTok = 0;
   int Passes = 0;      ///< decoder passes run (model.decoder_passes)
   int Projections = 0; ///< 1×V logit rows built (model.vocab_projections)
+
+  /// Runs one decoder pass over the previous token.
+  TensorPtr step(CodeBE &Model) {
+    KVCacheState *S = &St;
+    ++Passes;
+    return Model.decodeStep(Mem, {&S, 1}, {&PrevTok, 1});
+  }
 };
 
-CodeBE::KVCacheState CodeBE::encodeForDecode(const std::vector<int> &Input) {
-  KVCacheState St;
+CodeBE::DecodeMemory CodeBE::encodeForDecode(const std::vector<int> &Input) {
+  DecodeMemory Mem;
   // A hit returns the floats the encoder computed for the same ids under
   // the same weights, so the decode's bytes do not depend on the memo.
   auto &Metrics = obs::MetricsRegistry::instance();
-  St.Memory = Memo.lookup(Input);
-  if (St.Memory) {
+  Mem.Memory = Memo.lookup(Input);
+  if (Mem.Memory) {
     Metrics.addCounter("model.encode_memo_hits");
   } else {
     {
       obs::Span EncSpan("model.encode", "model");
-      St.Memory = runEncoder(Input);
+      Mem.Memory = runEncoder(Input);
     }
-    Memo.insert(Input, *St.Memory);
+    Memo.insert(Input, *Mem.Memory);
     Metrics.addCounter("model.encode_memo_misses");
   }
-  const int Dk = Config.DModel / Config.Heads;
-  St.CrossK.resize(Dec.size());
-  St.CrossV.resize(Dec.size());
-  St.SelfK.resize(Dec.size());
-  St.SelfV.resize(Dec.size());
-  for (size_t LI = 0; LI < Dec.size(); ++LI) {
-    TensorPtr K = linear(St.Memory, Dec[LI].Cross.K);
-    TensorPtr V = linear(St.Memory, Dec[LI].Cross.V);
-    for (int HI = 0; HI < Config.Heads; ++HI) {
-      St.CrossK[LI].push_back(sliceCols(K, HI * Dk, Dk));
-      St.CrossV[LI].push_back(sliceCols(V, HI * Dk, Dk));
-    }
+  for (DecLayerP &L : Dec) {
+    Mem.CrossK.push_back(linear(Mem.Memory, L.Cross.K));
+    Mem.CrossV.push_back(linear(Mem.Memory, L.Cross.V));
   }
-  return St;
+  return Mem;
 }
 
-TensorPtr CodeBE::decodeStep(KVCacheState &St, int TokenId) {
-  const int D = Config.DModel, H = Config.Heads, Dk = D / H;
-  const float AttnScale = 1.0f / std::sqrt(static_cast<float>(Dk));
-  // Single-row embedding — embed() with position index St.Len.
-  std::vector<int> Ids = {TokenId};
-  std::vector<std::vector<int>> Lists = {
-      Vocabulary.pieceLists()[static_cast<size_t>(TokenId)]};
+TensorPtr CodeBE::decodeStep(const DecodeMemory &Mem,
+                             std::span<KVCacheState *const> States,
+                             std::span<const int> Tokens) {
+  const int D = Config.DModel, H = Config.Heads;
+  const float AttnScale = 1.0f / std::sqrt(static_cast<float>(D / H));
+  const int M = static_cast<int>(States.size());
+  assert(M > 0 && Tokens.size() == States.size() && "one token per state");
+  const int Len = States[0]->Len;
+  // M-row embedding — embed() with position index Len on every row.
+  std::vector<int> Ids(Tokens.begin(), Tokens.end());
+  std::vector<std::vector<int>> Lists;
+  for (int Id : Ids)
+    Lists.push_back(Vocabulary.pieceLists()[static_cast<size_t>(Id)]);
   TensorPtr Tok = add(gatherRows(Etok, Ids), sparseMix(Epiece, Lists));
-  int Pos = St.Len < EposDst->Rows ? St.Len : EposDst->Rows - 1;
-  TensorPtr X = add(Tok, gatherRows(EposDst, {Pos}));
+  const int Pos = Len < EposDst->Rows ? Len : EposDst->Rows - 1;
+  TensorPtr X = add(Tok, gatherRows(EposDst, std::vector<int>(M, Pos)));
 
-  // Shared-prefix chain, root-first (chronological row order). Computed
-  // once per step; the same chain serves every layer.
-  std::vector<const KVPrefix *> Chain;
-  for (const KVPrefix *N = St.Prefix.get(); N; N = N->Parent.get())
-    Chain.push_back(N);
-  std::reverse(Chain.begin(), Chain.end());
+  // Each state's shared-prefix chain, root-first (chronological row
+  // order). Computed once per step; the same chain serves every layer.
+  std::vector<std::vector<const KVPrefix *>> Chains(static_cast<size_t>(M));
+  for (int R = 0; R < M; ++R) {
+    assert(States[R]->Len == Len && "lock-step states hold the same rows");
+    for (const KVPrefix *N = States[R]->Prefix.get(); N; N = N->Parent.get())
+      Chains[R].push_back(N);
+    std::reverse(Chains[R].begin(), Chains[R].end());
+  }
 
-  const int Len = St.Len + 1;
+  std::vector<detail::KVSegment> Segs;
   for (size_t LI = 0; LI < Dec.size(); ++LI) {
     DecLayerP &L = Dec[LI];
-    // Self-attention over the cached prefix plus this row. Restricting the
-    // keys to positions 0..Len-1 is bit-identical to the full causal-masked
-    // pass: masked scores sit at ~-1e9, so their exp() underflows to
-    // exactly 0.0f and they contribute nothing to max, sum, or the
-    // attention-weighted value rows.
+    // Self-attention over each row's cached prefix plus its new row, read
+    // in place. Restricting the keys to positions 0..Len is bit-identical
+    // to the full causal-masked pass: masked scores sit at ~-1e9, so their
+    // exp() underflows to exactly 0.0f and they contribute nothing to max,
+    // sum, or the attention-weighted value rows.
     TensorPtr Qr = linear(X, L.Self.Q);
     TensorPtr Kr = linear(X, L.Self.K);
     TensorPtr Vr = linear(X, L.Self.V);
-    std::vector<float> &KCache = St.SelfK[LI];
-    std::vector<float> &VCache = St.SelfV[LI];
-    KCache.insert(KCache.end(), Kr->Data.begin(), Kr->Data.end());
-    VCache.insert(VCache.end(), Vr->Data.begin(), Vr->Data.end());
-    // Assemble the full Len×D key/value matrices: shared prefix nodes
-    // root-first, then the owned tail — byte-for-byte the rows a single
-    // flat cache would hold.
-    TensorPtr KAll = makeTensor(Len, D);
-    TensorPtr VAll = makeTensor(Len, D);
-    {
-      float *KD = KAll->Data.data();
-      float *VD = VAll->Data.data();
-      size_t Off = 0;
-      for (const KVPrefix *Node : Chain) {
-        const std::vector<float> &NK = Node->K[LI];
-        const std::vector<float> &NV = Node->V[LI];
-        std::copy(NK.begin(), NK.end(), KD + Off);
-        std::copy(NV.begin(), NV.end(), VD + Off);
-        Off += NK.size();
-      }
-      std::copy(KCache.begin(), KCache.end(), KD + Off);
-      std::copy(VCache.begin(), VCache.end(), VD + Off);
+    TensorPtr SelfOut = makeTensor(M, D);
+    for (int R = 0; R < M; ++R) {
+      KVCacheState &St = *States[R];
+      const size_t Row = static_cast<size_t>(R) * D;
+      std::vector<float> &KCache = St.SelfK[LI];
+      std::vector<float> &VCache = St.SelfV[LI];
+      KCache.insert(KCache.end(), Kr->Data.begin() + Row,
+                    Kr->Data.begin() + Row + D);
+      VCache.insert(VCache.end(), Vr->Data.begin() + Row,
+                    Vr->Data.begin() + Row + D);
+      // The window: shared prefix nodes root-first, then the owned tail —
+      // the rows a single flat cache would hold, in its order.
+      Segs.clear();
+      for (const KVPrefix *Node : Chains[R])
+        Segs.push_back({Node->K[LI].data(), Node->V[LI].data(), Node->Rows});
+      Segs.push_back({KCache.data(), VCache.data(), Len + 1 - St.prefixRows()});
+      detail::attendRow(Qr->Data.data() + Row, Segs.data(),
+                        static_cast<int>(Segs.size()), D, H, AttnScale,
+                        SelfOut->Data.data() + Row);
     }
-    std::vector<TensorPtr> Heads;
-    for (int HI = 0; HI < H; ++HI) {
-      TensorPtr Qh = sliceCols(Qr, HI * Dk, Dk);
-      TensorPtr Kh = sliceCols(KAll, HI * Dk, Dk);
-      TensorPtr Vh = sliceCols(VAll, HI * Dk, Dk);
-      TensorPtr Scores = scale(matmulNT(Qh, Kh), AttnScale);
-      TensorPtr A = softmaxRows(Scores);
-      Heads.push_back(matmul(A, Vh));
-    }
-    TensorPtr AO = linear(concatCols(Heads), L.Self.O);
+    TensorPtr AO = linear(SelfOut, L.Self.O);
     TensorPtr Y = layerNorm(add(X, AO), L.N1.G, L.N1.B);
-    // Cross-attention against the precomputed memory projections.
+    // Cross-attention against the shared memory projections: a one-segment
+    // window, the same float order as attention()'s per-head ops.
     TensorPtr Qc = linear(Y, L.Cross.Q);
-    std::vector<TensorPtr> CHeads;
-    for (int HI = 0; HI < H; ++HI) {
-      TensorPtr Qh = sliceCols(Qc, HI * Dk, Dk);
-      TensorPtr Scores = scale(matmulNT(Qh, St.CrossK[LI][HI]), AttnScale);
-      TensorPtr A = softmaxRows(Scores);
-      CHeads.push_back(matmul(A, St.CrossV[LI][HI]));
-    }
-    TensorPtr C = linear(concatCols(CHeads), L.Cross.O);
+    TensorPtr CrossOut = makeTensor(M, D);
+    const detail::KVSegment Cross = {Mem.CrossK[LI]->Data.data(),
+                                     Mem.CrossV[LI]->Data.data(),
+                                     Mem.CrossK[LI]->Rows};
+    for (int R = 0; R < M; ++R)
+      detail::attendRow(Qc->Data.data() + static_cast<size_t>(R) * D, &Cross,
+                        1, D, H, AttnScale,
+                        CrossOut->Data.data() + static_cast<size_t>(R) * D);
+    TensorPtr C = linear(CrossOut, L.Cross.O);
     TensorPtr Z = layerNorm(add(Y, C), L.N2.G, L.N2.B);
     TensorPtr F = linear(relu(linear(Z, L.F1)), L.F2);
     X = layerNorm(add(Z, F), L.N3.G, L.N3.B);
   }
-  ++St.Len;
+  for (KVCacheState *St : States)
+    ++St->Len;
   return X;
 }
 
@@ -682,28 +687,25 @@ bool CodeBE::decodeGreedyKV(GreedyDecode &D, int Step) {
     const int J = (*StepSet)[0];
     if (J < 0 || J >= static_cast<int>(Vocabulary.size()))
       return true; // the argmax would find nothing admissible
-    if (Step < D.LastFree) {
-      decodeStep(D.St, D.PrevTok);
-      ++D.Passes;
-    }
+    if (Step < D.LastFree)
+      D.step(*this);
     if (J == Vocabulary.eosId())
       return true;
     D.Result.Tokens.push_back(J);
     D.PrevTok = J;
     return false;
   }
-  TensorPtr DecRow = decodeStep(D.St, D.PrevTok);
-  ++D.Passes;
+  TensorPtr DecRow = D.step(*this);
   int Best = -1;
   double Prob = 1.0;
   if (!D.WithProbs && StepSet) {
     // A multi-id set scores its admissible columns, not the 1×V row.
-    Best = chooseByColumns(DecRow, D.St.Memory, D.Input, *StepSet,
+    Best = chooseByColumns(DecRow, D.Mem.Memory, D.Input, *StepSet,
                            stepBiasOf(*D.Plan, Step));
   } else {
     if (!D.PresenceRow)
       D.PresenceRow = presenceFor(1, D.Input);
-    TensorPtr Logits = logitsFor(DecRow, D.St.Memory, D.Input,
+    TensorPtr Logits = logitsFor(DecRow, D.Mem.Memory, D.Input,
                                  /*UseCombCache=*/true, D.PresenceRow);
     ++D.Projections;
     Best = chooseGreedy(Logits, D.Allowed, D.Plan, Step, D.WithProbs, Prob);
@@ -732,7 +734,8 @@ CodeBE::Decoded CodeBE::generate(const std::vector<int> &Src,
                    .Allowed = Allowed,
                    .Plan = Plan,
                    .WithProbs = WithProbs,
-                   .St = encodeForDecode(Input),
+                   .Mem = encodeForDecode(Input),
+                   .St = KVCacheState(Dec.size()),
                    .PrevTok = Vocabulary.e2dId()};
     if (Plan)
       for (size_t P = 0; P < Plan->Steps.size(); ++P)
@@ -794,10 +797,9 @@ CodeBE::decodeBeam(const std::vector<int> &Src, int Width,
   BeamSpan.arg("width", std::to_string(Width));
 
   const std::vector<int> Input = clippedSource(Src);
-  // The shared decode scratch template: cross projections computed once and
-  // shared read-only by every hypothesis; self K/V rows are forked per
-  // hypothesis when the beam branches.
-  KVCacheState Proto = encodeForDecode(Input);
+  // The encoder side is computed once and read by every hypothesis; self
+  // K/V rows are forked per hypothesis when the beam branches.
+  const DecodeMemory Mem = encodeForDecode(Input);
 
   struct LiveBeam {
     KVCacheState St;
@@ -806,13 +808,15 @@ CodeBE::decodeBeam(const std::vector<int> &Src, int Width,
     int PrevTok = 0;
   };
   std::vector<LiveBeam> Live;
-  Live.push_back({Proto, {}, 0.0, Vocabulary.e2dId()});
+  Live.push_back({KVCacheState(Dec.size()), {}, 0.0, Vocabulary.e2dId()});
   std::vector<BeamHypothesis> Finished;
   auto Retire = [&](LiveBeam &B) {
     Finished.push_back({std::move(B.Tokens), B.Score});
   };
 
-  TensorPtr PresenceRow = presenceFor(1, Input);
+  // The presence tensor of each live-row count, built on first use.
+  std::vector<TensorPtr> PresenceOf(static_cast<size_t>(Width) + 1);
+  uint64_t Steps = 0, Rows = 0;
   for (int Step = 0; Step < Config.MaxDstLen && !Live.empty(); ++Step) {
     // Positions past the plan end every surviving statement, exactly like
     // the greedy loop.
@@ -822,19 +826,33 @@ CodeBE::decodeBeam(const std::vector<int> &Src, int Width,
     const std::map<int, float> *Bias =
         StepSet ? stepBiasOf(*Plan, Step) : nullptr;
 
+    // One decoder pass and one M×V projection for all M live hypotheses:
+    // row BI is hypothesis BI, with the bytes its own one-row pass had.
+    const size_t M = Live.size();
+    std::vector<KVCacheState *> States;
+    std::vector<int> Prev;
+    for (LiveBeam &B : Live) {
+      States.push_back(&B.St);
+      Prev.push_back(B.PrevTok);
+    }
+    TensorPtr DecRows = decodeStep(Mem, States, Prev);
+    TensorPtr &Presence = PresenceOf[M];
+    if (!Presence)
+      Presence = presenceFor(static_cast<int>(M), Input);
+    TensorPtr Logits = logitsFor(DecRows, Mem.Memory, Input,
+                                 /*UseCombCache=*/true, Presence);
+    ++Steps;
+    Rows += M;
+
     struct Expansion {
       size_t Parent;
       int Token;
       double Score;
     };
     std::vector<Expansion> Exps;
-    for (size_t BI = 0; BI < Live.size(); ++BI) {
-      LiveBeam &B = Live[BI];
-      TensorPtr DecRow = decodeStep(B.St, B.PrevTok);
-      TensorPtr Logits = logitsFor(DecRow, Proto.Memory, Input,
-                                   /*UseCombCache=*/true, PresenceRow);
-      int Last = Logits->Rows - 1;
-      const float *Row = &Logits->Data[static_cast<size_t>(Last) * Logits->Cols];
+    for (size_t BI = 0; BI < M; ++BI) {
+      const LiveBeam &B = Live[BI];
+      const float *Row = &Logits->Data[BI * Logits->Cols];
       // Raw-row log-sum-exp: the same normalizer generate()'s confidence
       // pass divides by, so log P(token) = biasedLogit - LSE. A plan bias
       // can lift the winner above the raw maximum — that only shifts the
@@ -885,17 +903,13 @@ CodeBE::decodeBeam(const std::vector<int> &Src, int Width,
         Finished.push_back({Live[E.Parent].Tokens, E.Score});
         continue;
       }
-      LiveBeam NB;
       // O(1) copy-on-write fork: freeze the parent's decoded rows into the
       // shared prefix chain (idempotent when several children fork the same
       // parent) instead of deep-copying Len×D floats per hypothesis.
-      Live[E.Parent].St.seal();
-      NB.St = Live[E.Parent].St;
-      NB.Tokens = Live[E.Parent].Tokens;
-      NB.Tokens.push_back(E.Token);
-      NB.Score = E.Score;
-      NB.PrevTok = E.Token;
-      Next.push_back(std::move(NB));
+      LiveBeam &Parent = Live[E.Parent];
+      Parent.St.seal();
+      Next.push_back({Parent.St, Parent.Tokens, E.Score, E.Token});
+      Next.back().Tokens.push_back(E.Token);
     }
     Live = std::move(Next);
   }
@@ -918,6 +932,8 @@ CodeBE::decodeBeam(const std::vector<int> &Src, int Width,
 
   auto &Metrics = obs::MetricsRegistry::instance();
   Metrics.addCounter("beam.decode_calls");
+  Metrics.addCounter("beam.steps", Steps);
+  Metrics.addCounter("beam.rows", Rows);
   Metrics.observe("beam.candidates", static_cast<double>(Result.size()), 0.0,
                   static_cast<double>(Width + 1), 16);
   return Result;

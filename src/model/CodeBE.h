@@ -26,6 +26,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 
 namespace vega {
 
@@ -113,7 +114,9 @@ public:
   /// Beam/top-k decoding for \p Src under the same constraints as
   /// generate(): up to \p Width hypotheses ranked best-first. Always runs
   /// on the KV-cache path (each hypothesis forks its own cache; the cross
-  /// projections are shared read-only). Deterministic at any thread count:
+  /// projections are shared read-only), and steps its live hypotheses in
+  /// lock step: one decoder pass and one vocabulary projection over all of
+  /// them per position. Deterministic at any thread count:
   /// no RNG, and exact score ties resolve by expansion order (parent rank,
   /// then admissible-set order), so Width=1 reproduces the greedy decode.
   /// Duplicate token sequences are collapsed to their best-scoring copy.
@@ -180,26 +183,35 @@ private:
   /// An immutable, refcount-shared run of decoded K/V rows (see
   /// KVCacheState in CodeBE.cpp).
   struct KVPrefix;
-  /// Per-call incremental decode scratch (one per generate() invocation,
-  /// so concurrent decodes never share mutable state).
+  /// Per-hypothesis incremental decode scratch (one per generate() call,
+  /// one per live beam hypothesis), so concurrent decodes never share
+  /// mutable state.
   struct KVCacheState;
+  /// The encoder memory of a decode and its per-layer cross-attention
+  /// projections: computed once per generate() or decodeBeam() call and
+  /// read by every row of every step.
+  struct DecodeMemory;
   /// One greedy KV-cached decode in progress (see decodeGreedyKV()).
   struct GreedyDecode;
 
   /// \p Src cut to MaxSrcLen: the input every encoder pass sees.
   std::vector<int> clippedSource(const std::vector<int> &Src) const;
   /// The encoder memory of \p Input, from the memo or from an encoder run
-  /// (the model.encode span, opened only on a miss), and the decode scratch
-  /// over it: cross-attention K/V projected once and sliced per head, empty
-  /// self-attention rows.
-  KVCacheState encodeForDecode(const std::vector<int> &Input);
+  /// (the model.encode span, opened only on a miss), with the
+  /// cross-attention K/V of every decoder layer projected once.
+  DecodeMemory encodeForDecode(const std::vector<int> &Input);
   /// Whether the unconstrained-step mask \p Allowed admits \p Id ([EOS]
   /// and the CS buckets always pass; a null mask admits everything).
   bool isAllowed(const std::vector<uint8_t> *Allowed, int Id) const;
   TensorPtr linear(const TensorPtr &X, const LinearP &P);
-  /// Feeds one token through the decoder using (and extending) the K/V
-  /// cache; returns the new 1×DModel decoder output row.
-  TensorPtr decodeStep(KVCacheState &St, int TokenId);
+  /// Feeds token \p Tokens[m] through the decoder for each state
+  /// \p States[m] in lock step, reading and extending each state's K/V
+  /// rows, and returns the M×DModel decoder output rows. Every state holds
+  /// the same number of rows and decodes over \p Mem. Row m's bytes do not
+  /// depend on M: greedy decoding is the M = 1 case.
+  TensorPtr decodeStep(const DecodeMemory &Mem,
+                       std::span<KVCacheState *const> States,
+                       std::span<const int> Tokens);
   TensorPtr attention(const TensorPtr &XQ, const TensorPtr &XKV,
                       const MHAP &P, const Tensor *Mask);
   TensorPtr encLayer(const TensorPtr &X, EncLayerP &L);

@@ -314,7 +314,7 @@ std::vector<float> kernelOperand(int Rows, int Cols, uint64_t Seed,
 template <typename BShape, typename CShape>
 void expectKernelMatchesReference(const char *Name, GemmFn Kernel, GemmFn Ref,
                                   BShape BDims, CShape CDims) {
-  const int Ms[] = {1, 2, 3, 7, 8, 9, 25, 48};
+  const int Ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 25, 48};
   const int Ks[] = {1, 3, 8, 16, 17, 64, 65};
   const int Ns[] = {1, 7, 8, 9, 16, 17, 31, 32, 33, 64, 192, 257};
   int Mismatches = 0;
@@ -449,6 +449,75 @@ TEST(Kernels, ZeroSkipNeverMultipliesInf) {
           EXPECT_TRUE(SameBytes(Got, Want));
         }
       }
+}
+
+TEST(Kernels, AttendRowMatchesAttentionOps) {
+  // attendRow reads a window split into segments in place; it must give
+  // the bytes of the ops the decode step ran over the assembled window, per
+  // head: matmulNT -> scale -> softmaxRows -> matmul, then concatCols. Every
+  // window length 1-48 is split into segments of varied sizes (the prefix
+  // nodes a beam forks), and some key rows are scaled up so that the
+  // softmax weights of the others underflow to exactly 0.
+  struct Shape {
+    int D, Heads;
+  };
+  const Shape Shapes[] = {{64, 4}, {24, 2}, {8, 1}, {20, 1}, {36, 3}};
+  int Mismatches = 0, Underflows = 0;
+  for (const Shape &Sh : Shapes)
+    for (int Len = 1; Len <= 48; ++Len) {
+      const int D = Sh.D, Dk = D / Sh.Heads;
+      const uint64_t Seed = static_cast<uint64_t>(Len) * 1009u +
+                            static_cast<uint64_t>(D) * 31u + Sh.Heads;
+      TensorPtr Q = makeTensor(1, D), K = makeTensor(Len, D),
+                V = makeTensor(Len, D);
+      Q->Data = kernelOperand(1, D, Seed, false);
+      K->Data = kernelOperand(Len, D, Seed + 1, false);
+      V->Data = kernelOperand(Len, D, Seed + 2, false);
+      RNG Rng(Seed + 3);
+      for (int J = 0; J < Len; ++J)
+        if (Rng.nextBool(0.2))
+          for (int C = 0; C < D; ++C)
+            K->at(J, C) *= 60.0f;
+      const float Scale = 1.0f / std::sqrt(static_cast<float>(Dk));
+
+      std::vector<TensorPtr> Heads;
+      for (int H = 0; H < Sh.Heads; ++H) {
+        TensorPtr A = softmaxRows(
+            scale(matmulNT(sliceCols(Q, H * Dk, Dk), sliceCols(K, H * Dk, Dk)),
+                  Scale));
+        Underflows += static_cast<int>(
+            std::count(A->Data.begin(), A->Data.end(), 0.0f));
+        Heads.push_back(matmul(A, sliceCols(V, H * Dk, Dk)));
+      }
+      TensorPtr Want = concatCols(Heads);
+
+      // Each segment in its own buffer, as prefix nodes are.
+      std::vector<std::vector<float>> KBufs, VBufs;
+      std::vector<detail::KVSegment> Segs;
+      for (int Row = 0; Row < Len;) {
+        const int Rows = std::min(Len - Row, 1 + static_cast<int>(
+                                                    Rng.nextBelow(11)));
+        KBufs.emplace_back(K->Data.begin() + Row * D,
+                           K->Data.begin() + (Row + Rows) * D);
+        VBufs.emplace_back(V->Data.begin() + Row * D,
+                           V->Data.begin() + (Row + Rows) * D);
+        Row += Rows;
+      }
+      for (size_t S = 0; S < KBufs.size(); ++S)
+        Segs.push_back({KBufs[S].data(), VBufs[S].data(),
+                        static_cast<int>(KBufs[S].size()) / D});
+      std::vector<float> Got(static_cast<size_t>(D), 1.0f);
+      detail::attendRow(Q->Data.data(), Segs.data(),
+                        static_cast<int>(Segs.size()), D, Sh.Heads, Scale,
+                        Got.data());
+      if (std::memcmp(Got.data(), Want->Data.data(), Got.size() * 4) != 0 &&
+          ++Mismatches <= 5)
+        ADD_FAILURE() << "attendRow differs at D=" << D
+                      << " heads=" << Sh.Heads << " len=" << Len << " in "
+                      << Segs.size() << " segments";
+    }
+  EXPECT_EQ(Mismatches, 0);
+  EXPECT_GT(Underflows, 0) << "no softmax weight underflowed to 0";
 }
 
 // ---- Forward ops vs the scalar loops they replaced, byte for byte ----
@@ -908,6 +977,96 @@ TEST(CodeBE, BeamWidthOneMatchesGreedyAndRanksDescend) {
       for (size_t J = I + 1; J < Four.size(); ++J)
         EXPECT_NE(Four[I].Tokens, Four[J].Tokens)
             << "case " << Case << " ranks " << I << "/" << J;
+  }
+}
+
+TEST(CodeBE, BeamGoldenHashes) {
+  // The safety net for beam refactors, as Pipeline.GoldenBackendHashes is
+  // for greedy Stage 3: every hypothesis decodeBeam returns, its tokens and
+  // the bits of its score, is pinned by one FNV-1a hash per width. A seeded
+  // untrained model needs no fixture. Width 8 keeps eight rows live, so the
+  // vocabulary projection also runs its packed M >= 8 path.
+  Vocab V;
+  std::vector<int> Words;
+  for (int I = 0; I < 40; ++I)
+    Words.push_back(V.addToken("tok" + std::to_string(I)));
+  CodeBEConfig C;
+  C.MaxSrcLen = 48;
+  C.MaxDstLen = 48;
+  CodeBE Model(V, C);
+  auto W = [&](int I) { return Words[static_cast<size_t>(I)]; };
+  std::vector<int> Buckets;
+  for (int B = 0; B < Vocab::NumCsBuckets; ++B)
+    Buckets.push_back(V.csId(B));
+
+  // Stage 3's shape: the buckets, two pins, a biased six-candidate
+  // placeholder, a pinned tail.
+  CodeBE::DecodePlan Stage3;
+  Stage3.Steps = {Buckets, {W(20)}, {W(21)},
+                  {W(3), W(7), W(11), W(12), W(13), W(14)}};
+  for (int I = 22; I < 27; ++I)
+    Stage3.Steps.push_back({W(I)});
+  Stage3.Bias.resize(Stage3.Steps.size());
+  Stage3.Bias[3][W(12)] = 1.5f;
+  // Unconstrained steps under the Allowed mask, [EOS] inside a set, and a
+  // second biased six-candidate step.
+  CodeBE::DecodePlan Mixed;
+  Mixed.Steps = {Buckets,
+                 {W(5)},
+                 {},
+                 {V.eosId(), W(8), W(30)},
+                 {W(1), W(2), W(9), W(17), W(33), W(39)},
+                 {},
+                 {W(4)}};
+  Mixed.Bias.resize(Mixed.Steps.size());
+  Mixed.Bias[3][W(30)] = 0.25f;
+  Mixed.Bias[4][W(9)] = 0.75f;
+  std::vector<uint8_t> Allowed(V.size(), 0);
+  for (int I : {2, 6, 9, 14, 30, 31})
+    Allowed[static_cast<size_t>(W(I))] = 1;
+
+  // The last source is longer than MaxSrcLen.
+  std::vector<std::vector<int>> Srcs = {{V.clsId(), W(1), W(9), W(7)},
+                                        {V.clsId(), W(7), W(7), W(30), W(2)}};
+  std::vector<int> Long = {V.clsId()}, Longer = {V.clsId()};
+  for (int I = 0; I < 15; ++I)
+    Long.push_back(W((I * 7 + 3) % 40));
+  for (int I = 0; I < 60; ++I)
+    Longer.push_back(W((I * 11 + 5) % 40));
+  Srcs.push_back(Long);
+  Srcs.push_back(Longer);
+  ASSERT_GT(static_cast<int>(Longer.size()), C.MaxSrcLen);
+
+  struct Golden {
+    int Width;
+    uint64_t Hash;
+  };
+  const Golden Want[] = {{1, 0x306c01babeef5b6aULL}, {2, 0x76147265d0e33bb0ULL},
+                         {3, 0x6ee1a53b5922f8b3ULL}, {4, 0x3f31abdb14d549ecULL},
+                         {5, 0x2c15fe33acdf9281ULL}, {8, 0xf67d09387ae45d17ULL}};
+  for (const Golden &G : Want) {
+    std::string Bytes;
+    auto Put = [&Bytes](const auto &X) {
+      Bytes.append(reinterpret_cast<const char *>(&X), sizeof(X));
+    };
+    for (const std::vector<int> &Src : Srcs)
+      for (const CodeBE::DecodePlan *P :
+           std::initializer_list<const CodeBE::DecodePlan *>{&Stage3, &Mixed,
+                                                             nullptr}) {
+        std::vector<CodeBE::BeamHypothesis> Hyps =
+            Model.decodeBeam(Src, G.Width, &Allowed, P);
+        Put(static_cast<uint64_t>(Hyps.size()));
+        for (const CodeBE::BeamHypothesis &H : Hyps) {
+          Put(static_cast<uint64_t>(H.Tokens.size()));
+          for (int T : H.Tokens)
+            Put(static_cast<int32_t>(T));
+          uint64_t Bits = 0;
+          std::memcpy(&Bits, &H.Score, sizeof(Bits));
+          Put(Bits);
+        }
+      }
+    EXPECT_EQ(fnv1a(Bytes), G.Hash) << "width " << G.Width << " hash 0x"
+                                    << std::hex << fnv1a(Bytes);
   }
 }
 
@@ -1455,6 +1614,48 @@ TEST(CodeBE, SharedPrefixImmutableUnderConcurrentDecode) {
   });
   for (size_t I = 0; I < Srcs.size(); ++I)
     EXPECT_EQ(Got[I], Want[I]) << "lane " << I;
+}
+
+TEST(CodeBE, ConcurrentBeamsMatchSerial) {
+  // Four pool lanes decode overlapping beams over shared sources: each
+  // lock-step pass reads its hypotheses' prefix chains in place while other
+  // lanes fork and seal their own. Every result must equal the serial one.
+  SharedDecodeModel &M = SharedDecodeModel::instance();
+  CodeBE &Model = *M.Model;
+  const Vocab &V = M.V;
+  auto W = [&](int I) { return V.idOf(M.Words[static_cast<size_t>(I)]); };
+  std::vector<int> Buckets;
+  for (int B = 0; B < Vocab::NumCsBuckets; ++B)
+    Buckets.push_back(V.csId(B));
+  CodeBE::DecodePlan Plan;
+  Plan.Steps = {Buckets, {W(4)}, {W(1), W(2), W(9), W(11)}, {}, {W(7)}};
+
+  std::vector<std::vector<int>> Srcs;
+  RNG Pick(79);
+  for (int I = 0; I < 12; ++I)
+    Srcs.push_back({V.clsId(), W(static_cast<int>(Pick.nextBelow(12))),
+                    W(static_cast<int>(Pick.nextBelow(12)))});
+  const int Widths[] = {2, 4, 5};
+  auto Decode = [&](size_t I) {
+    const CodeBE::DecodePlan *P = I % 2 ? &Plan : nullptr;
+    return Model.decodeBeam(Srcs[I % Srcs.size()], Widths[I % 3], nullptr, P);
+  };
+
+  const size_t Jobs = 48; // every source four times, under two plans
+  std::vector<std::vector<CodeBE::BeamHypothesis>> Want;
+  for (size_t I = 0; I < Jobs; ++I)
+    Want.push_back(Decode(I));
+  std::vector<std::vector<CodeBE::BeamHypothesis>> Got(Jobs);
+  ThreadPool Pool(4);
+  Pool.parallelFor(Jobs, [&](size_t I) { Got[I] = Decode(I); });
+  for (size_t I = 0; I < Jobs; ++I) {
+    ASSERT_FALSE(Want[I].empty()) << "beam " << I;
+    ASSERT_EQ(Got[I].size(), Want[I].size()) << "beam " << I;
+    for (size_t R = 0; R < Want[I].size(); ++R) {
+      EXPECT_EQ(Got[I][R].Tokens, Want[I][R].Tokens) << "beam " << I;
+      EXPECT_EQ(Got[I][R].Score, Want[I][R].Score) << "beam " << I;
+    }
+  }
 }
 
 namespace {

@@ -20,6 +20,7 @@
 #include "core/VegaSession.h"
 #include "eval/Oracle.h"
 #include "serve/Protocol.h"
+#include "support/BinaryIO.h"
 
 #include <gtest/gtest.h>
 
@@ -143,6 +144,46 @@ TEST(Repair, ReportJsonByteIdenticalAcrossJobs) {
   StatusOr<repair::RepairReport> B = Four.repairBackend(riscvBackend());
   ASSERT_TRUE(B.isOk()) << B.status().toString();
   EXPECT_EQ(serve::repairToJson(*A).dump(2), serve::repairToJson(*B).dump(2));
+}
+
+TEST(Repair, GoldenReportHashes) {
+  // The safety net for beam and repair refactors across commits: the
+  // "vega-repair-1" rendering of each evaluation target's repair, under
+  // the benchmark's configuration (beam 4, two rounds, text gate with the
+  // differential classifier), is pinned by its FNV-1a hash. Four repair
+  // lanes must reproduce the serial bytes.
+  struct Golden {
+    const char *Target;
+    uint64_t Hash;
+  };
+  const Golden Want[] = {{"RISCV", 0x48cb80418e0700c2ULL},
+                         {"RI5CY", 0xcf7ca499ca45b915ULL},
+                         {"XCORE", 0xae35be59ae688597ULL}};
+  const eval::OracleRoles Roles = eval::oracleRoles(eval::OracleKind::Both);
+  repair::RepairOptions Opts;
+  Opts.BeamWidth = 4;
+  Opts.MaxRounds = 2;
+  Opts.OracleImpl = Roles.Primary;
+  Opts.Classifier = Roles.Classifier;
+  for (const Golden &G : Want) {
+    StatusOr<GeneratedBackend> GB = test::tier1Session().generate(G.Target);
+    ASSERT_TRUE(GB.isOk()) << GB.status().toString();
+    Opts.Jobs = 1;
+    StatusOr<repair::RepairReport> Serial =
+        repair::RepairEngine(test::tier1Session().system(), Opts)
+            .repairBackend(*GB);
+    ASSERT_TRUE(Serial.isOk()) << Serial.status().toString();
+    const std::string Json = serve::repairToJson(*Serial).dump();
+    EXPECT_EQ(fnv1a(Json), G.Hash)
+        << "target " << G.Target << " hash 0x" << std::hex << fnv1a(Json);
+    Opts.Jobs = 4;
+    StatusOr<repair::RepairReport> Parallel =
+        repair::RepairEngine(test::tier1Session().system(), Opts)
+            .repairBackend(*GB);
+    ASSERT_TRUE(Parallel.isOk()) << Parallel.status().toString();
+    EXPECT_EQ(serve::repairToJson(*Parallel).dump(), Json)
+        << "target " << G.Target;
+  }
 }
 
 TEST(Repair, DifferentialOracleGatedRepairNeverRegresses) {
